@@ -188,10 +188,10 @@ class CrystalSpec:
     def __post_init__(self):
         if self.process not in WAVE_ORDER:
             raise ValueError(f"process must be one of {sorted(WAVE_ORDER)}, got {self.process!r}")
-        if self.length_mm <= 0:
-            raise ValueError("crystal length must be positive")
-        if self.poling_period_um <= 0:
-            raise ValueError("poling period must be positive")
+        if not (self.length_mm > 0 and math.isfinite(self.length_mm)):
+            raise ValueError("crystal length must be positive and finite")
+        if not (self.poling_period_um > 0 and math.isfinite(self.poling_period_um)):
+            raise ValueError("poling period must be positive and finite")
         roles = WAVE_ORDER[self.process]
         if set(self.axes) != set(roles):
             raise ValueError(f"axes must map exactly the roles {roles}, got {sorted(self.axes)}")
@@ -312,10 +312,8 @@ class Spectrum:
         return Spectrum(self.wavelength_nm, self.density / peak, self.clipped)
 
     def to_csv(self) -> str:
-        lines = ["wavelength_nm,density"]
-        for lam, dens in zip(self.wavelength_nm, self.density):
-            lines.append(f"{lam:.12g},{dens:.12g}")
-        return "\n".join(lines) + "\n"
+        rows = map("{:.12g},{:.12g}".format, self.wavelength_nm.tolist(), self.density.tolist())
+        return "\n".join(["wavelength_nm,density", *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "Spectrum":

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,32 @@ class TestBudgetCommand:
         assert float(values["pair_product"]) == pytest.approx(1.67e-6, abs=0.01e-6)
         assert "note" in values
         assert float(values["quoted_over_pair_ratio"]) == pytest.approx(1.2, abs=0.05)
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize(
+        ("config", "command"),
+        [("[hom]\nrate_hz = nan\n", "hom"), ("[source_crystal]\nlength_mm = nan\n", "spectra")],
+    )
+    def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")] + (["--noiseless"] if noiseless else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*args, command) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("noonsim: error:")
+
+    def test_zero_stage_budget_reports_infinite_ratio(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[budget]\ncollection = 0.0\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfg), "--out", str(out), "budget") == 0
+        values = read_summary((out / "budget.txt").read_text())
+        assert float(values["pair_product"]) == 0.0
+        assert values["quoted_over_pair_ratio"] == "inf"
 
 
 class TestDeterminism:

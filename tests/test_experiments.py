@@ -41,6 +41,55 @@ class TestPoissonSampling:
         with pytest.raises(ValueError):
             ns.poisson_counts([1.0, -2.0], 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e19])
+    def test_nonfinite_or_oversized_mean_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ns.poisson_counts([1.0, bad, 50.0], 0)
+        with pytest.raises(ValueError):
+            ns.poisson_sample(bad, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            ns.poisson_counts([1.0, 50.0], -1)
+
+    def test_count_depends_only_on_its_own_point(self):
+        # Means on both sides of the inversion/PTRS split at 10.
+        means = np.random.default_rng(3).uniform(0.0, 40.0, 500)
+        counts = ns.poisson_counts(means, 77)
+        assert np.array_equal(ns.poisson_counts(means[:123], 77), counts[:123])
+        changed = means.copy()
+        changed[::2] = np.random.default_rng(4).uniform(0.0, 40.0, changed[::2].size)
+        assert np.array_equal(ns.poisson_counts(changed, 77)[1::2], counts[1::2])
+
+    def test_zero_means_among_others_give_zero(self):
+        means = np.tile([0.0, 3.0, 0.0, 500.0], 100)
+        for seed in range(5):
+            assert not ns.poisson_counts(means, seed)[means == 0.0].any()
+
+    @pytest.mark.parametrize("mean", [0.5, 9.99, 10.0, 700.0, 1e6])
+    def test_poisson_mean_and_variance(self, mean):
+        n = 40_000
+        counts = ns.poisson_counts(np.full(n, mean), 2024).astype(float)
+        z_mean = (counts.mean() - mean) / math.sqrt(mean / n)
+        z_var = (counts.var(ddof=1) - mean) / (mean * math.sqrt(2.0 / n + 1.0 / (mean * n)))
+        assert abs(z_mean) < 5.0 and abs(z_var) < 5.0
+
+    @pytest.mark.parametrize("mean", [0.5, 9.99, 10.0, 30.0])
+    def test_pmf_matches_poisson(self, mean):
+        n = 100_000
+        counts = ns.poisson_counts(np.full(n, mean), 31)
+        for k in range(int(3 * mean) + 3):
+            p = math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
+            observed = np.count_nonzero(counts == k) / n
+            assert abs(observed - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n) + 1e-5
+
+    def test_log_factorial_across_table_edge(self):
+        from noonsim.experiments import _log_factorial
+
+        k = np.array([0.0, 1.0, 2.0, 30.0, 31.0, 32.0, 33.0, 100.0, 1e4, 1e9])
+        want = np.array([math.lgamma(x + 1.0) for x in k])
+        assert np.allclose(_log_factorial(k), want, rtol=1e-15, atol=1e-13)
+
 
 class TestHomScan:
     def test_perfect_overlap_nulls_the_dip(self):
@@ -75,6 +124,21 @@ class TestHomScan:
             ns.hom_scan(spec, 1.5, [0.0], 600.0, 1.0, 0)
         with pytest.raises(ValueError):
             ns.hom_scan(spec, 0.5, [0.0], 0.0, 1.0, 0)
+        for rate, t_bin in ((math.nan, 1.0), (math.inf, 1.0), (600.0, math.nan), (600.0, math.inf)):
+            for noiseless in (False, True):
+                with pytest.raises(ValueError):
+                    ns.hom_scan(spec, 0.5, [0.0], rate, t_bin, 0, noiseless)
+                with pytest.raises(ValueError):
+                    ns.bunching_scan(0.5, [0.0], rate, t_bin, 0, spectrum=spec, noiseless=noiseless)
+                with pytest.raises(ValueError):
+                    ns.noon_fringe(2, 0.5, [0.0], rate, t_bin, 0, noiseless)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_expected_counts_beyond_int64_rejected(self):
+        spec = sinc2_spectrum(points=64)
+        for noiseless in (False, True):
+            with pytest.raises(ValueError):
+                ns.hom_scan(spec, 0.5, [0.0], 1e300, 1.0, 0, noiseless)
 
 
 def fock_bunching_probability(distinguishable: bool) -> float:
@@ -307,6 +371,12 @@ class TestEfficiencyBudget:
         report = ns.efficiency_budget(EfficiencyChain(REFERENCE_STAGES))
         flipped = ns.efficiency_budget(EfficiencyChain(tuple(reversed(REFERENCE_STAGES))))
         assert report.single_arm == pytest.approx(flipped.single_arm, rel=1e-12)
+
+    def test_zero_pair_product_ratio_is_infinite(self):
+        report = ns.efficiency_budget(EfficiencyChain((("dead", 0.0), ("b", 0.5))), quoted_overall=2.0e-6)
+        assert report.pair == 0.0
+        assert report.pair_vs_quoted == math.inf
+        assert "quoted_over_pair_ratio = inf" in report.report_lines()
 
     def test_unit_chain(self):
         report = ns.efficiency_budget(EfficiencyChain((("a", 1.0), ("b", 1.0))))

@@ -130,6 +130,14 @@ class TestSolvePolingPeriod:
             ns.solve_poling_period(crystal, (SFG_NM, PUMP_SFG_NM, SIGNAL_NM))
 
 
+class TestCrystalSpec:
+    @pytest.mark.parametrize("field", ["length_mm", "poling_period_um"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_or_nonfinite_dimensions_rejected(self, spdc_crystal, field, bad):
+        with pytest.raises(ValueError):
+            replace(spdc_crystal, **{field: bad})
+
+
 class TestSpectra:
     def test_emission_peaks_at_degeneracy(self, spdc_crystal):
         grid = np.linspace(SIGNAL_NM - 8.0, SIGNAL_NM + 8.0, 4097)
