@@ -30,18 +30,10 @@ _DEFAULT_STAGES = (
     ("interferometer", 0.51),
 )
 
-# Same chain with the conversion stage split into its internal-conversion and
-# spectral-overlap factors, for sensitivity studies.
+# Same chain with the conversion stage (index 4) split into its
+# internal-conversion and spectral-overlap factors, for sensitivity studies.
 _DECOMPOSED_STAGES = (
-    ("collection", 0.24),
-    ("filter_transmission", 0.80),
-    ("optics_transmission", 0.86),
-    ("fiber_coupling_525nm", 0.60),
-    ("internal_conversion", 0.16),
-    ("spectral_overlap", 0.39),
-    ("detector_efficiency", 0.50),
-    ("air_gap", 0.8),
-    ("interferometer", 0.51),
+    _DEFAULT_STAGES[:4] + (("internal_conversion", 0.16), ("spectral_overlap", 0.39)) + _DEFAULT_STAGES[5:]
 )
 
 
@@ -306,6 +298,8 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec, flo
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
+    if not 0.0 < cfg.grid_span_nm < math.inf:
+        raise ConfigError(f"[grid] span_nm must be positive and finite, got {cfg.grid_span_nm}")
     half = cfg.grid_span_nm / 2.0
     return np.linspace(cfg.spdc_signal_nm - half, cfg.spdc_signal_nm + half, cfg.grid_points)
 

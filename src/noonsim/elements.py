@@ -123,9 +123,6 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
 
-    def then(self, element: CircuitElement) -> "Circuit":
-        return Circuit(self.elements + (element,))
-
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply circuit elements to a state in order."""

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import fock
 from .elements import CircuitElement, Circuit, apply_circuit
@@ -239,6 +238,27 @@ def _finish_scan(
 # ---------------------------------------------------------------------------
 
 
+def _delay_scan(
+    spectrum: Spectrum,
+    overlap: float,
+    delays_mm: Sequence[float],
+    rate_hz: float,
+    t_bin_s: float,
+    seed: int,
+    noiseless: bool,
+    shape: Callable[[np.ndarray], np.ndarray],
+) -> ScanResult:
+    """Expected counts rate * t_bin * shape(overlap * g(delay)), then sampled."""
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError("overlap must lie in [0, 1]")
+    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
+        raise ValueError("rate and integration time must be positive and finite")
+    delays = np.asarray(delays_mm, dtype=float)
+    expected = rate_hz * t_bin_s * shape(overlap * overlap_kernel(spectrum, delays))
+    expected = np.clip(expected, 0.0, None)
+    return _finish_scan(delays, expected, seed, rate_hz, t_bin_s, noiseless, "delay_mm")
+
+
 def hom_scan(
     spectrum: Spectrum,
     overlap: float,
@@ -254,14 +274,7 @@ def hom_scan(
     with g the spectrum's overlap kernel, so the far-from-dip baseline is
     rate * t_bin and the dip visibility equals ``overlap``.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
-        raise ValueError("rate and integration time must be positive and finite")
-    delays = np.asarray(delays_mm, dtype=float)
-    expected = rate_hz * t_bin_s * (1.0 - overlap * overlap_kernel(spectrum, delays))
-    expected = np.clip(expected, 0.0, None)
-    return _finish_scan(delays, expected, seed, rate_hz, t_bin_s, noiseless, "delay_mm")
+    return _delay_scan(spectrum, overlap, delays_mm, rate_hz, t_bin_s, seed, noiseless, lambda x: 1.0 - x)
 
 
 def bunching_scan(
@@ -280,14 +293,9 @@ def bunching_scan(
     bunched pairs double the splitter's pair flux at zero delay, so the
     peak-to-baseline ratio is 1 + overlap.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
-        raise ValueError("rate and integration time must be positive and finite")
-    delays = np.asarray(delays_mm, dtype=float)
-    expected = rate_hz * t_bin_s * (1.0 + overlap * overlap_kernel(spectrum, delays)) / 8.0
-    expected = np.clip(expected, 0.0, None)
-    return _finish_scan(delays, expected, seed, rate_hz, t_bin_s, noiseless, "delay_mm")
+    return _delay_scan(
+        spectrum, overlap, delays_mm, rate_hz, t_bin_s, seed, noiseless, lambda x: (1.0 + x) / 8.0
+    )
 
 
 #: Phase offset at which the reference detection pattern sits in its fringe;
@@ -363,24 +371,26 @@ def plate_phase(tilt_rad: float, thickness_m: float, index: float, wavelength_m:
 # ---------------------------------------------------------------------------
 
 
-def dip_visibility(scan: ScanResult, baseline_fraction: float = 0.1) -> float:
-    """(baseline - dip) / baseline, with the baseline read from the scan edges."""
-    data = scan.data()
+def _edge_baseline(data: np.ndarray, baseline_fraction: float) -> float:
+    """Mean of the outer ``baseline_fraction`` of a scan, split between its ends."""
     k = max(1, int(len(data) * baseline_fraction / 2))
     baseline = float(np.mean(np.concatenate([data[:k], data[-k:]])))
     if baseline <= 0:
         raise ValueError("baseline is not positive; widen the scan")
+    return baseline
+
+
+def dip_visibility(scan: ScanResult, baseline_fraction: float = 0.1) -> float:
+    """(baseline - dip) / baseline, with the baseline read from the scan edges."""
+    data = scan.data()
+    baseline = _edge_baseline(data, baseline_fraction)
     return (baseline - float(data.min())) / baseline
 
 
 def peak_to_baseline_ratio(scan: ScanResult, baseline_fraction: float = 0.1) -> float:
     """max / edge-baseline of a scan, for bunching-style peaks."""
     data = scan.data()
-    k = max(1, int(len(data) * baseline_fraction / 2))
-    baseline = float(np.mean(np.concatenate([data[:k], data[-k:]])))
-    if baseline <= 0:
-        raise ValueError("baseline is not positive; widen the scan")
-    return float(data.max()) / baseline
+    return float(data.max()) / _edge_baseline(data, baseline_fraction)
 
 
 @dataclass
@@ -424,6 +434,9 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     low counts: on 2000-point scans at 120 counts per bin the N = 1
     visibility lands 8-10 reported sigmas high.
     """
+    # Imported here so that only the fringe fit pays for loading the optimizer.
+    from scipy.optimize import curve_fit
+
     if n_expected < 1:
         raise ValueError("expected fringe order must be at least 1")
     phi = scan.param
@@ -594,6 +607,8 @@ class BudgetReport:
 
 def efficiency_budget(chain: EfficiencyChain, quoted_overall: float | None = None) -> BudgetReport:
     """Multiply out a detection chain; the pair product squares the arm."""
+    if quoted_overall is not None and not 0.0 <= quoted_overall < math.inf:
+        raise ValueError(f"quoted overall efficiency must be nonnegative and finite, got {quoted_overall}")
     single = math.prod(eta for _, eta in chain.stages)
     return BudgetReport(
         stages=chain.stages,

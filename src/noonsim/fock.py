@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class FockState:
             counts[new] = counts.pop(old)
         return FockState.from_counts(counts)
 
-    def label(self, modes: Iterable[ModeId]) -> str:
-        return "|" + ",".join(str(self.count(m)) for m in modes) + ">"
-
 
 @dataclass
 class StateVector:
@@ -131,9 +128,6 @@ class StateVector:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.modes, {f: a / n for f, a in self.amplitudes.items()})
-
-    def terms(self) -> Iterator[tuple[FockState, complex]]:
-        return iter(sorted(self.amplitudes.items(), key=lambda t: t[0].occupations))
 
 
 def enumerate_basis(

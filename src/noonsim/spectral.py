@@ -17,9 +17,8 @@ from importlib import resources
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.constants import c as _C_M_PER_S
-from scipy.optimize import brentq
 
+_C_M_PER_S = 299792458.0  # exact by the SI definition of the metre
 _C_NM_PER_S = _C_M_PER_S * 1e9
 _C_MM_PER_S = _C_M_PER_S * 1e3
 
@@ -48,7 +47,7 @@ class GridError(SpectralError):
 
 
 class NoSolutionError(SpectralError):
-    """A root find failed to bracket a solution."""
+    """No positive poling period cancels the mismatch."""
 
 
 class PeakError(SpectralError):
@@ -92,7 +91,7 @@ class SellmeierCoefficients:
 def refractive_index(coeffs: SellmeierCoefficients, wavelength_nm: ArrayLike) -> ArrayLike:
     """Refractive index at the given wavelength(s) in nanometers."""
     lam_um = np.asarray(wavelength_nm, dtype=float) / 1000.0
-    if np.any(lam_um < coeffs.lambda_min_um) or np.any(lam_um > coeffs.lambda_max_um):
+    if not np.all((coeffs.lambda_min_um <= lam_um) & (lam_um <= coeffs.lambda_max_um)):
         raise WavelengthRangeError(
             f"wavelength outside validity window "
             f"[{coeffs.lambda_min_um * 1000:g}, {coeffs.lambda_max_um * 1000:g}] nm of {coeffs.name!r}"
@@ -207,6 +206,30 @@ def _wavevector(crystal: CrystalSpec, role: str, wavelength_nm: ArrayLike) -> Ar
     return 2.0 * np.pi * crystal.index(role, wavelength_nm) / (np.asarray(wavelength_nm, float) * 1e-9)
 
 
+def _material_mismatch(
+    crystal: CrystalSpec,
+    lambda_a_nm: ArrayLike,
+    lambda_b_nm: ArrayLike,
+    lambda_c_nm: ArrayLike,
+) -> tuple[ArrayLike, float]:
+    """Material mismatch k_a - k_b - k_c in rad/m, and the grating's sign.
+
+    The grating term 2pi/period enters the full mismatch with the returned
+    sign: +1 for SPDC, -1 for SFG.
+    """
+    inv_a = 1.0 / np.asarray(lambda_a_nm, float)
+    inv_bc = 1.0 / np.asarray(lambda_b_nm, float) + 1.0 / np.asarray(lambda_c_nm, float)
+    if np.any(np.abs(inv_a - inv_bc) > 1e-6 * inv_a):
+        raise ValueError("wavelengths violate energy conservation (1/a = 1/b + 1/c)")
+    role_a, role_b, role_c = WAVE_ORDER[crystal.process]
+    material = (
+        _wavevector(crystal, role_a, lambda_a_nm)
+        - _wavevector(crystal, role_b, lambda_b_nm)
+        - _wavevector(crystal, role_c, lambda_c_nm)
+    )
+    return material, (1.0 if crystal.process == "spdc" else -1.0)
+
+
 def phase_mismatch(
     crystal: CrystalSpec,
     lambda_a_nm: ArrayLike,
@@ -219,49 +242,27 @@ def phase_mismatch(
     for SFG); the arguments must conserve energy, 1/a = 1/b + 1/c, to 1e-6
     relative.
     """
-    inv_a = 1.0 / np.asarray(lambda_a_nm, float)
-    inv_bc = 1.0 / np.asarray(lambda_b_nm, float) + 1.0 / np.asarray(lambda_c_nm, float)
-    if np.any(np.abs(inv_a - inv_bc) > 1e-6 * inv_a):
-        raise ValueError("wavelengths violate energy conservation (1/a = 1/b + 1/c)")
-    role_a, role_b, role_c = WAVE_ORDER[crystal.process]
-    material = (
-        _wavevector(crystal, role_a, lambda_a_nm)
-        - _wavevector(crystal, role_b, lambda_b_nm)
-        - _wavevector(crystal, role_c, lambda_c_nm)
-    )
+    material, sign = _material_mismatch(crystal, lambda_a_nm, lambda_b_nm, lambda_c_nm)
     grating = 2.0 * np.pi / (crystal.poling_period_um * 1e-6)
-    sign = 1.0 if crystal.process == "spdc" else -1.0
     dk = material + sign * grating
     return float(dk) if np.isscalar(lambda_a_nm) and np.isscalar(lambda_b_nm) else dk
 
 
-def solve_poling_period(
-    crystal: CrystalSpec,
-    target_wavelengths_nm: Sequence[float],
-    bracket_um: tuple[float, float] = (0.05, 1.0e6),
-) -> float:
+def solve_poling_period(crystal: CrystalSpec, target_wavelengths_nm: Sequence[float]) -> float:
     """Poling period (um) that zeroes the phase mismatch at the target point.
 
-    Root-found on the grating term by Brent's method; the result satisfies
-    |mismatch * length| <= 1e-9.
+    The mismatch is material + sign * 2pi/period, so the period is
+    2pi / (-sign * material) in closed form; it exists only when that is
+    positive.
     """
-    lam_a, lam_b, lam_c = target_wavelengths_nm
-
-    def mismatch(period_um: float) -> float:
-        return phase_mismatch(replace(crystal, poling_period_um=period_um), lam_a, lam_b, lam_c)
-
-    lo, hi = bracket_um
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo * f_hi > 0:
+    material, sign = _material_mismatch(crystal, *target_wavelengths_nm)
+    grating = -sign * float(material)
+    if not grating > 0:
         raise NoSolutionError(
-            f"no poling period in [{lo}, {hi}] um changes the mismatch sign "
-            f"(endpoints {f_lo:.3e}, {f_hi:.3e} rad/m)"
+            f"no positive poling period cancels the {crystal.process} material mismatch "
+            f"{material:.6g} rad/m"
         )
-    period = brentq(mismatch, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    residual = abs(mismatch(period)) * crystal.length_mm * 1e-3
-    if residual > 1e-9:
-        raise NoSolutionError(f"root refinement stalled, |dk*L| = {residual:.3e}")
-    return float(period)
+    return 2.0 * np.pi / grating * 1e6
 
 
 def with_solved_poling(crystal: CrystalSpec, target_wavelengths_nm: Sequence[float]) -> CrystalSpec:
@@ -292,6 +293,8 @@ class Spectrum:
             raise GridError("grid and density must be 1-D arrays of equal length")
         if self.wavelength_nm.size < 3:
             raise GridError("grid needs at least 3 points")
+        if not (np.all(np.isfinite(self.wavelength_nm)) and np.all(np.isfinite(self.density))):
+            raise GridError("grid and density must be finite")
         steps = np.diff(self.wavelength_nm)
         if np.any(steps <= 0):
             raise GridError("grid must be strictly increasing")
@@ -300,10 +303,6 @@ class Spectrum:
             raise GridError("grid must be uniform")
         if np.any(self.density < 0):
             raise GridError("density values must be nonnegative")
-
-    @property
-    def step_nm(self) -> float:
-        return float(np.diff(self.wavelength_nm).mean())
 
     def normalized(self) -> "Spectrum":
         peak = float(self.density.max())

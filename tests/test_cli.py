@@ -175,7 +175,14 @@ class TestInvalidInput:
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(
         ("config", "command"),
-        [("[hom]\nrate_hz = nan\n", "hom"), ("[source_crystal]\nlength_mm = nan\n", "spectra")],
+        [
+            ("[hom]\nrate_hz = nan\n", "hom"),
+            ("[source_crystal]\nlength_mm = nan\n", "spectra"),
+            ("[grid]\nspan_nm = nan\n", "spectra"),
+            ("[grid]\nspan_nm = inf\n", "spectra"),
+            ("[source_crystal]\npump_nm = nan\n", "spectra"),
+            ("[budget]\nquoted_overall = nan\n", "budget"),
+        ],
     )
     def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
         cfg = tmp_path / "run.cfg"
@@ -214,6 +221,21 @@ class TestDeterminism:
         run_cli("--out", str(out1), "--seed", "1", "hom")
         run_cli("--out", str(out2), "--seed", "2", "hom")
         assert (out1 / "hom_source.csv").read_bytes() != (out2 / "hom_source.csv").read_bytes()
+
+    def test_scipy_loaded_only_by_the_fringe_fit(self, tmp_path):
+        # A fresh interpreter: this test session has imported scipy already.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from noonsim.cli import main
+            for args in (["spectra"], ["--noiseless", "hom"], ["bunching"], ["budget"]):
+                assert main(["--out", {str(tmp_path)!r}] + args) == 0, args
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            """
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -110,9 +110,13 @@ class TestSolvePolingPeriod:
         lo, hi = periods[flips[0]], periods[flips[0] + 1]
         assert lo <= spdc_crystal.poling_period_um <= hi
 
-    def test_upconversion_solution_verified(self, sfg_crystal):
-        dk = ns.phase_mismatch(sfg_crystal, SFG_NM, PUMP_SFG_NM, SIGNAL_NM)
-        assert abs(dk * sfg_crystal.length_mm * 1e-3) <= 1e-9
+    def test_upconversion_solution_verified(self, spdc_crystal, sfg_crystal):
+        for crystal, lams in (
+            (spdc_crystal, (PUMP_SPDC_NM, SIGNAL_NM, SIGNAL_NM)),
+            (sfg_crystal, (SFG_NM, PUMP_SFG_NM, SIGNAL_NM)),
+        ):
+            dk = ns.phase_mismatch(crystal, *lams)
+            assert abs(dk * crystal.length_mm * 1e-3) <= 1e-12
 
     def test_perturbed_period_detunes(self, spdc_crystal):
         nudged = replace(spdc_crystal, poling_period_um=spdc_crystal.poling_period_um * 1.01)
@@ -125,6 +129,14 @@ class TestSolvePolingPeriod:
         crystal = ns.CrystalSpec(
             20.0, 1.0, "spdc", "type-II",
             {"pump": "nz", "signal": "nz", "idler": "nz"}, dispersion,
+        )
+        with pytest.raises(ns.NoSolutionError):
+            ns.solve_poling_period(crystal, (SFG_NM, PUMP_SFG_NM, SIGNAL_NM))
+        # An SFG wave on the low y index with its inputs on z has a negative
+        # material mismatch, which the -grating convention cannot cancel.
+        crystal = ns.CrystalSpec(
+            20.0, 1.0, "sfg", "type-I",
+            {"sfg": "ny", "pump": "nz", "signal": "nz"}, dispersion,
         )
         with pytest.raises(ns.NoSolutionError):
             ns.solve_poling_period(crystal, (SFG_NM, PUMP_SFG_NM, SIGNAL_NM))
