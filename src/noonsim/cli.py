@@ -11,7 +11,8 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,7 @@ class RunConfig:
 
     grid_points: int = 4096
     grid_span_nm: float = 16.0
-    unit_acceptance: bool = False
+    grid_unit_acceptance: bool = False
 
     hom_gamma: float = 0.979
     hom_gamma_upconverted: float = 0.9672
@@ -93,100 +94,47 @@ class RunConfig:
     fringe_t_bin_s: float = 1.0
     fringe_axis: str = "phase"
     fringe_wavelength_nm: float = 525.1345
-    plate_thickness_mm: float = 0.2
-    plate_index: float = 1.5
-    plate_tilt_min_rad: float = 0.02
-    plate_tilt_max_rad: float = 0.25
+    fringe_plate_thickness_mm: float = 0.2
+    fringe_plate_index: float = 1.5
+    fringe_plate_tilt_min_rad: float = 0.02
+    fringe_plate_tilt_max_rad: float = 0.25
 
     budget_stages: tuple[tuple[str, float], ...] = _DEFAULT_STAGES
     budget_quoted_overall: float | None = 2.0e-6
     budget_decompose_conversion: bool = False
 
 
-_SECTION_PREFIXES = {
-    "run": ("seed", "noiseless"),
-    "sellmeier": ("sellmeier_file",),
-    "source_crystal": (
-        "spdc_length_mm",
-        "spdc_pump_nm",
-        "spdc_signal_nm",
-        "spdc_poling_um",
-        "spdc_pump_axis",
-        "spdc_signal_axis",
-        "spdc_idler_axis",
-    ),
-    "converter_crystal": (
-        "sfg_length_mm",
-        "sfg_pump_nm",
-        "sfg_signal_nm",
-        "sfg_poling_um",
-        "sfg_sfg_axis",
-        "sfg_pump_axis",
-        "sfg_signal_axis",
-    ),
-    "grid": ("grid_points", "grid_span_nm", "unit_acceptance"),
-    "hom": (
-        "hom_gamma",
-        "hom_gamma_upconverted",
-        "hom_delay_min_mm",
-        "hom_delay_max_mm",
-        "hom_delay_points",
-        "hom_up_delay_min_mm",
-        "hom_up_delay_max_mm",
-        "hom_up_delay_points",
-        "hom_rate_hz",
-        "hom_t_bin_s",
-    ),
-    "bunching": (
-        "bunching_gamma",
-        "bunching_delay_min_mm",
-        "bunching_delay_max_mm",
-        "bunching_delay_points",
-        "bunching_rate_hz",
-        "bunching_t_bin_s",
-    ),
-    "fringe": (
-        "fringe_visibility_n1",
-        "fringe_visibility_n2",
-        "fringe_phase_min_rad",
-        "fringe_phase_max_rad",
-        "fringe_points",
-        "fringe_rate_hz",
-        "fringe_t_bin_s",
-        "fringe_axis",
-        "fringe_wavelength_nm",
-        "plate_thickness_mm",
-        "plate_index",
-        "plate_tilt_min_rad",
-        "plate_tilt_max_rad",
-    ),
+# INI section -> prefix of its RunConfig fields.  A key is its field's name
+# without the prefix; a field with no listed prefix belongs to [run].
+_SECTIONS = {
+    "run": "",
+    "sellmeier": "sellmeier_",
+    "source_crystal": "spdc_",
+    "converter_crystal": "sfg_",
+    "grid": "grid_",
+    "hom": "hom_",
+    "bunching": "bunching_",
+    "fringe": "fringe_",
+    "budget": "budget_",
 }
 
-# [budget] is handled separately: `quoted_overall` and `decompose_conversion`
-# are reserved keys, every other key is an ordered chain stage.
-_BUDGET_RESERVED = ("quoted_overall", "decompose_conversion")
+
+def _schema() -> dict[tuple[str, str], tuple[str, object]]:
+    """(section, key) -> (RunConfig field name, resolved type)."""
+    schema = {}
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        if name == "budget_stages":
+            continue  # every [budget] key that is not a field is a chain stage
+        section = next((s for s, prefix in _SECTIONS.items() if prefix and name.startswith(prefix)), "run")
+        schema[section, name.removeprefix(_SECTIONS[section])] = (name, hint)
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 class ConfigError(Exception):
     """A config file problem the user can act on."""
-
-
-def _config_key_map() -> dict[str, dict[str, str]]:
-    """section -> {short key in file: RunConfig field name}."""
-    out: dict[str, dict[str, str]] = {}
-    for section, names in _SECTION_PREFIXES.items():
-        prefix = {
-            "run": "",
-            "sellmeier": "sellmeier_",
-            "source_crystal": "spdc_",
-            "converter_crystal": "sfg_",
-            "grid": "grid_",
-            "hom": "hom_",
-            "bunching": "bunching_",
-            "fringe": "fringe_",
-        }[section]
-        out[section] = {name.removeprefix(prefix): name for name in names}
-    return out
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -194,60 +142,57 @@ def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
-    key_map = _config_key_map()
-    field_types = {f.name: f.type for f in fields(RunConfig)}
+    stages = []
     for section in parser.sections():
-        if section == "budget":
-            stages = []
-            for key, raw in parser.items(section):
-                if key == "quoted_overall":
-                    cfg.budget_quoted_overall = None if raw.lower() == "none" else float(raw)
-                elif key == "decompose_conversion":
-                    cfg.budget_decompose_conversion = raw.lower() in ("1", "true", "yes", "on")
-                else:
-                    stages.append((key, float(raw)))
-            if stages:
-                cfg.budget_stages = tuple(stages)
-            elif cfg.budget_decompose_conversion:
-                cfg.budget_stages = _DECOMPOSED_STAGES
-            continue
-        if section not in key_map:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in key_map[section]:
+            name, hint = _SCHEMA.get((section, key), (None, float))
+            if name is None and section != "budget":
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            name = key_map[section][key]
             try:
-                setattr(cfg, name, _coerce(raw, field_types[name], name))
+                value = _coerce(raw, hint)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
+            if name is None:
+                stages.append((key, value))
+            else:
+                setattr(cfg, name, value)
+    if stages:
+        cfg.budget_stages = tuple(stages)
     if cfg.budget_decompose_conversion and cfg.budget_stages == _DEFAULT_STAGES:
         cfg.budget_stages = _DECOMPOSED_STAGES
     return cfg
 
 
-def _coerce(raw: str, annotation: str, name: str):
-    raw = raw.strip()
-    if annotation in ("int", int):
-        return int(raw)
-    if annotation in ("bool", bool):
+def _coerce(raw: str, hint: object) -> object:
+    """Parse one INI value as ``hint``: bool, int, finite float, str, or ``X | None``."""
+    if type(None) in typing.get_args(hint):
+        if raw.lower() in ("", "none"):
+            return None
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if hint is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    if "float | None" in str(annotation):
-        return None if raw.lower() in ("", "none") else float(raw)
-    if "str | None" in str(annotation):
-        return None if raw.lower() in ("", "none") else raw
-    if annotation in ("float", float):
-        return float(raw)
+    if hint is int:
+        return int(raw)
+    if hint is float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -308,7 +253,7 @@ def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.
     spdc, sfg, _, _ = _build_crystals(cfg)
     grid = _grid(cfg)
     emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
-    if cfg.unit_acceptance:
+    if cfg.grid_unit_acceptance:
         acceptance = sp.Spectrum(grid, np.ones_like(grid))
     else:
         acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
@@ -361,7 +306,7 @@ def cmd_spectra(cfg: RunConfig, out_dir: Path) -> int:
     summary = _summary(
         [
             ("emission_fwhm_nm", sp.fwhm(emission)),
-            ("acceptance_fwhm_nm", sp.fwhm(acceptance) if not cfg.unit_acceptance else float("nan")),
+            ("acceptance_fwhm_nm", sp.fwhm(acceptance) if not cfg.grid_unit_acceptance else float("nan")),
             ("filtered_fwhm_nm", sp.fwhm(filtered)),
             ("emission_clipped", emission.clipped),
             ("acceptance_clipped", acceptance.clipped),
@@ -433,13 +378,13 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
         phases = axis
         param_name = "phase_rad"
     elif cfg.fringe_axis == "plate":
-        axis = np.linspace(cfg.plate_tilt_min_rad, cfg.plate_tilt_max_rad, cfg.fringe_points)
+        axis = np.linspace(cfg.fringe_plate_tilt_min_rad, cfg.fringe_plate_tilt_max_rad, cfg.fringe_points)
         phases = np.array(
             [
                 xp.plate_phase(
                     tilt,
-                    cfg.plate_thickness_mm * 1e-3,
-                    cfg.plate_index,
+                    cfg.fringe_plate_thickness_mm * 1e-3,
+                    cfg.fringe_plate_index,
                     cfg.fringe_wavelength_nm * 1e-9,
                 )
                 for tilt in axis

@@ -186,6 +186,8 @@ class ScanResult:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if not (self.param.shape == self.expected.shape == self.counts.shape):
             raise ValueError("param, expected, and counts must have equal shapes")
+        if self.param.size == 0:
+            raise ValueError("a scan needs at least one point")
         if np.any(self.expected < 0):
             raise ValueError("expected rates must be nonnegative")
         if np.any(self.counts < 0):
@@ -203,6 +205,12 @@ class ScanResult:
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0, rate_hz: float = 0.0, t_bin_s: float = 0.0) -> "ScanResult":
+        """Parse ``to_csv`` output.
+
+        The CSV carries only the param, expected and counts columns (sigma is
+        recomputed).  Seed, rate and bin time come from the arguments, and
+        ``noiseless`` and ``param_name`` read back as their defaults.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split(",")[:3] != ["param", "expected", "counts"]:
             raise ValueError("expected a 'param,expected,counts,sigma' header")
@@ -406,18 +414,6 @@ class FitReport:
     residual_norm: float
     clamped: bool = False
 
-    def summary_lines(self) -> list[str]:
-        return [
-            f"visibility = {self.visibility:.6g}",
-            f"visibility_sigma = {self.visibility_sigma:.6g}",
-            f"frequency = {self.frequency:.6g}",
-            f"frequency_sigma = {self.frequency_sigma:.6g}",
-            f"phase_offset_rad = {self.phase_offset:.6g}",
-            f"amplitude = {self.amplitude:.6g}",
-            f"residual_norm = {self.residual_norm:.6g}",
-            f"clamped = {str(self.clamped).lower()}",
-        ]
-
 
 def _fringe_model(phi, c0, vis, freq, phi0):
     return c0 * (1.0 + vis * np.cos(freq * phi + phi0))
@@ -458,15 +454,20 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
 
     sigma = None if scan.noiseless else np.sqrt(np.maximum(data, 1.0))
     try:
-        popt, pcov = curve_fit(
-            _fringe_model,
-            phi,
-            data,
-            p0=p0,
-            sigma=sigma,
-            absolute_sigma=not scan.noiseless,
-            maxfev=20000,
-        )
+        # Data with (almost) no counts overflows the optimizer's matrices;
+        # that is reported as a failed fit, not as a warning.
+        with np.errstate(over="raise", invalid="raise"):
+            popt, pcov = curve_fit(
+                _fringe_model,
+                phi,
+                data,
+                p0=p0,
+                sigma=sigma,
+                absolute_sigma=not scan.noiseless,
+                maxfev=20000,
+            )
+    except FloatingPointError as exc:
+        raise FitError(f"fringe fit overflowed: {exc}") from exc
     except RuntimeError as exc:
         seed_resid = float(np.sum((_fringe_model(phi, *p0) - data) ** 2))
         raise FitError(f"fringe fit did not converge (seed residual {seed_resid:.3g}): {exc}") from exc

@@ -316,6 +316,7 @@ class Spectrum:
 
     @classmethod
     def from_csv(cls, text: str) -> "Spectrum":
+        """Parse ``to_csv`` output.  The CSV has no ``clipped`` column, so it reads back False."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split(",")[:2] != ["wavelength_nm", "density"]:
             raise ValueError("expected a 'wavelength_nm,density' header")

@@ -1,13 +1,16 @@
+import configparser
 import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import noonsim as ns
-from noonsim.cli import load_config, main, read_summary
+from noonsim.cli import _DEFAULT_STAGES, _SCHEMA, RunConfig, load_config, main, read_summary
 
 
 def run_cli(*args):
@@ -74,6 +77,18 @@ class TestConfig:
         cfg = load_config(str(path))
         names = [name for name, _ in cfg.budget_stages]
         assert "internal_conversion" in names and "spectral_overlap" in names
+
+    def test_readme_config_block_is_the_schema(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.cfg"
+        path.write_text(block)
+        assert replace(load_config(str(path)), sellmeier_file=None) == RunConfig()
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+        parser.optionxform = str
+        parser.read_string(block)
+        pairs = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert pairs == set(_SCHEMA) | {("budget", name) for name, _ in _DEFAULT_STAGES}
 
     def test_read_summary_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -182,6 +197,16 @@ class TestInvalidInput:
             ("[grid]\nspan_nm = inf\n", "spectra"),
             ("[source_crystal]\npump_nm = nan\n", "spectra"),
             ("[budget]\nquoted_overall = nan\n", "budget"),
+            ("[hom]\ngamma = 0.9\ngamma = 0.8\n", "hom"),
+            ("[hom]\ngamma = 0.9\n[hom]\nrate_hz = 10.0\n", "hom"),
+            ("seed = 1\n[hom]\ngamma = 0.9\n", "hom"),
+            ("[fringe]\nphase_max_rad = inf\n", "fringe"),
+            ("[fringe]\naxis = plate\nplate_tilt_max_rad = inf\n", "fringe"),
+            ("[budget]\ndecompose_conversion = maybe\n", "budget"),
+            ("[hom]\ndelay_points = 0\n", "hom"),
+            ("[hom]\nup_delay_points = 0\n", "hom"),
+            ("[bunching]\ndelay_points = 0\n", "bunching"),
+            ("[fringe]\nrate_hz = 1e-300\n", "fringe"),
         ],
     )
     def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
