@@ -175,7 +175,7 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _coerce(raw: str, hint: object) -> object:
-    """Parse one INI value as ``hint``: bool, int, finite float, str, or ``X | None``."""
+    """Parse one INI value as ``hint``: bool, nonnegative int, finite float, str, or ``X | None``."""
     if type(None) in typing.get_args(hint):
         if raw.lower() in ("", "none"):
             return None
@@ -187,7 +187,10 @@ def _coerce(raw: str, hint: object) -> object:
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
     if hint is int:
-        return int(raw)
+        value = int(raw)
+        if value < 0:
+            raise ValueError(f"expected a nonnegative integer, got {raw!r}")
+        return value
     if hint is float:
         value = float(raw)
         if not math.isfinite(value):
@@ -206,6 +209,16 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec, flo
 
     Returns (spdc, sfg, idler_nm, sfg_nm) with the slaved wavelengths.
     """
+    if not 0.0 < cfg.spdc_pump_nm < cfg.spdc_signal_nm:
+        raise ConfigError(
+            "[source_crystal] needs 0 < pump_nm < signal_nm, "
+            f"got pump_nm = {cfg.spdc_pump_nm}, signal_nm = {cfg.spdc_signal_nm}"
+        )
+    if not (cfg.sfg_pump_nm > 0.0 and cfg.sfg_signal_nm > 0.0):
+        raise ConfigError(
+            "[converter_crystal] pump_nm and signal_nm must be positive, "
+            f"got pump_nm = {cfg.sfg_pump_nm}, signal_nm = {cfg.sfg_signal_nm}"
+        )
     dispersion = sp.load_sellmeier(cfg.sellmeier_file)
 
     idler_nm = 1.0 / (1.0 / cfg.spdc_pump_nm - 1.0 / cfg.spdc_signal_nm)

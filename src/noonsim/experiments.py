@@ -28,7 +28,7 @@ from .spectral import Spectrum, overlap_kernel
 
 
 class FitError(Exception):
-    """Raised when a fringe fit cannot converge."""
+    """Raised when a scan shows no fringe or its fit cannot converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +370,8 @@ def plate_phase(tilt_rad: float, thickness_m: float, index: float, wavelength_m:
         raise ValueError("plate tilt must satisfy |tilt| < pi/3")
     if index <= 1.0:
         raise ValueError("plate index must exceed 1")
+    if not (thickness_m > 0.0 and wavelength_m > 0.0):
+        raise ValueError("plate thickness and wavelength must be positive")
     geometry = math.sqrt(index**2 - math.sin(tilt_rad) ** 2) - math.cos(tilt_rad) - (index - 1.0)
     return 2.0 * math.pi * thickness_m / wavelength_m * geometry
 
@@ -415,24 +417,91 @@ class FitReport:
     clamped: bool = False
 
 
-def _fringe_model(phi, c0, vis, freq, phi0):
-    return c0 * (1.0 + vis * np.cos(freq * phi + phi0))
+#: Scoring steps a fringe fit may take before it gives up.
+_FIT_MAX_STEPS = 100
+#: A fit has converged once a step moves C0 by less than this fraction of
+#: |C0| and each of (V, f, phi0) by less than this fraction of their largest.
+_FIT_STEP_TOL = 1e-10
+
+
+def _quasi_loglik(data: np.ndarray, mu: np.ndarray, noiseless: bool) -> float:
+    """The fit's objective: the log quasi-likelihood of variance max(mu, 1).
+
+    That is the Poisson d log mu - mu for mu >= 1, continued below one
+    count by the quadratic with the same value and slope.  Noiseless scans
+    have unit variance, so theirs is -sum (d - mu)^2 / 2.
+    """
+    if noiseless:
+        resid = data - mu
+        return -0.5 * float(resid @ resid)
+    hi = np.maximum(mu, 1.0)
+    below = mu - hi  # mu - 1 where mu < 1, else 0
+    return float(data @ np.log(hi) - hi.sum() + below @ (data - 1.0 - 0.5 * below))
+
+
+def _fringe_point(phi: np.ndarray, data: np.ndarray, p: np.ndarray, noiseless: bool):
+    """(theta, cos theta, mu, quasi-likelihood) of C0 (1 + V cos theta), theta = f phi + phi0."""
+    c0, vis, freq, phi0 = p
+    theta = freq * phi + phi0
+    cos = np.cos(theta)
+    mu = c0 * (1.0 + vis * cos)
+    return theta, cos, mu, _quasi_loglik(data, mu, noiseless)
+
+
+def _score_fringe(
+    phi: np.ndarray, data: np.ndarray, p: np.ndarray, noiseless: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Fisher scoring from ``p``: the optimum, its covariance, and its Pearson chi^2."""
+    theta, cos, mu, q = _fringe_point(phi, data, p, noiseless)
+    for _ in range(_FIT_MAX_STEPS):
+        c0, vis = p[0], p[1]
+        weights = 1.0 if noiseless else 1.0 / np.maximum(mu, 1.0)
+        slope = -c0 * vis * np.sin(theta)  # d mu / d phi0
+        jac = np.array([1.0 + vis * cos, c0 * cos, slope * phi, slope])
+        weighted = jac * weights
+        score = weighted @ (data - mu)
+        cov = np.linalg.inv(weighted @ jac.T)
+        step = cov @ score
+        scale = np.abs(p)
+        scale[1:] = scale[1:].max()
+        # Halve the step until it raises the quasi-likelihood.  ``gain`` is
+        # the rise the step promises, and halving quarters it; once it is
+        # below n units in the last place, the rounding bound of an n-term
+        # sum, the objective cannot tell the step from none: converged.
+        gain = 0.5 * float(score @ step)
+        while (np.abs(step) > _FIT_STEP_TOL * scale).any() and gain > len(data) * math.ulp(q):
+            trial = _fringe_point(phi, data, p + step, noiseless)
+            if trial[3] > q:
+                break
+            step *= 0.5
+            gain *= 0.25
+        else:
+            # The last step is taken untested: it lands noiseless fits of
+            # exact data on the rates they were computed from.
+            p = p + step
+            mu = _fringe_point(phi, data, p, noiseless)[2]
+            chi2 = float(np.sum(weights * (data - mu) ** 2))
+            return p, (cov * chi2 / (len(data) - 4) if noiseless else cov), chi2
+        p = p + step
+        theta, cos, mu, q = trial
+    raise FitError(f"fringe fit did not converge in {_FIT_MAX_STEPS} steps")
 
 
 def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
-    """Weighted least-squares fringe fit with Poisson uncertainties.
+    """Quasi-likelihood fringe fit of C0 (1 + V cos(f phi + phi0)), f free.
 
-    Counts are weighted by sigma_i = sqrt(max(count_i, 1)); noiseless scans
-    fit their expected rates unweighted.  The fitted frequency is free so
-    period ratios between scans can be verified.  Observed-count weights
-    bias the fitted visibility upward by about 1/counts per point, and the
-    reported sigma does not include that bias, so it is not calibrated at
-    low counts: on 2000-point scans at 120 counts per bin the N = 1
-    visibility lands 8-10 reported sigmas high.
+    Sampled scans weight each point by 1 / max(mu, 1), mu the model's count:
+    the Poisson maximum-likelihood fit above one count per bin, with a floor
+    that keeps dark-fringe bins from pulling the fit onto mu = 0.  Noiseless
+    scans use unit weights (least squares).  Fisher scoring starts from a
+    linear pre-fit at f = n_expected; each step is halved until it raises
+    the log quasi-likelihood (``_quasi_loglik``), and the fit stops once a
+    step is within 1e-10 of the parameters or below what that objective
+    resolves.  The covariance is the inverse Fisher matrix at the optimum,
+    scaled by chi^2 / (n - 4) for noiseless scans; ``residual_norm`` is
+    sqrt(chi^2), the Pearson chi^2 at the model weights.  Data with no
+    fringe, or a fit that does not converge, raises ``FitError``.
     """
-    # Imported here so that only the fringe fit pays for loading the optimizer.
-    from scipy.optimize import curve_fit
-
     if n_expected < 1:
         raise ValueError("expected fringe order must be at least 1")
     phi = scan.param
@@ -441,6 +510,8 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
         raise ValueError("need at least 8 scan points to fit")
     if phi.max() - phi.min() < 2.0 * math.pi / n_expected:
         raise ValueError("scan must span at least one full fringe period")
+    if data.min() == data.max():
+        raise FitError(f"scan shows no fringe: every point reads {data[0]:.6g}")
 
     # Linear pre-fit at the expected frequency for amplitude and phase seeds.
     design = np.column_stack(
@@ -450,27 +521,15 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     c0_seed = max(c0_seed, 1e-12)
     v_seed = min(math.hypot(ca, cb) / c0_seed, 1.0)
     phi0_seed = math.atan2(-cb, ca)
-    p0 = [c0_seed, max(v_seed, 1e-3), float(n_expected), phi0_seed]
+    p0 = np.array([c0_seed, max(v_seed, 1e-3), float(n_expected), phi0_seed])
 
-    sigma = None if scan.noiseless else np.sqrt(np.maximum(data, 1.0))
     try:
-        # Data with (almost) no counts overflows the optimizer's matrices;
-        # that is reported as a failed fit, not as a warning.
-        with np.errstate(over="raise", invalid="raise"):
-            popt, pcov = curve_fit(
-                _fringe_model,
-                phi,
-                data,
-                p0=p0,
-                sigma=sigma,
-                absolute_sigma=not scan.noiseless,
-                maxfev=20000,
-            )
-    except FloatingPointError as exc:
-        raise FitError(f"fringe fit overflowed: {exc}") from exc
-    except RuntimeError as exc:
-        seed_resid = float(np.sum((_fringe_model(phi, *p0) - data) ** 2))
-        raise FitError(f"fringe fit did not converge (seed residual {seed_resid:.3g}): {exc}") from exc
+        # Data with (almost) no counts overflows or makes the Fisher matrix
+        # singular; that is reported as a failed fit, not as a warning.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            popt, pcov, chi2 = _score_fringe(phi, data, p0, scan.noiseless)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise FitError(f"fringe fit failed: {exc}") from exc
 
     c0, vis, freq, phi0 = popt
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
@@ -486,9 +545,6 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     phi0 = math.remainder(phi0, 2.0 * math.pi)
     clamped = bool(vis > 1.0)
     vis = min(vis, 1.0)
-
-    weights = sigma if sigma is not None else np.ones_like(data)
-    residual = float(np.sqrt(np.sum(((_fringe_model(phi, c0, vis, freq, phi0) - data) / weights) ** 2)))
     return FitReport(
         visibility=float(vis),
         visibility_sigma=float(perr[1]),
@@ -496,7 +552,7 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
         frequency_sigma=float(perr[2]),
         phase_offset=float(phi0),
         amplitude=float(c0),
-        residual_norm=residual,
+        residual_norm=math.sqrt(chi2),
         clamped=clamped,
     )
 

@@ -207,6 +207,17 @@ class TestInvalidInput:
             ("[hom]\nup_delay_points = 0\n", "hom"),
             ("[bunching]\ndelay_points = 0\n", "bunching"),
             ("[fringe]\nrate_hz = 1e-300\n", "fringe"),
+            ("[source_crystal]\nsignal_nm = 773.5\n", "spectra"),
+            ("[source_crystal]\npump_nm = 0\n", "spectra"),
+            ("[converter_crystal]\npump_nm = 0\n", "spectra"),
+            ("[fringe]\naxis = plate\nwavelength_nm = 0\n", "fringe"),
+            ("[fringe]\naxis = plate\nwavelength_nm = -500\n", "fringe"),
+            ("[fringe]\naxis = plate\nplate_thickness_mm = -0.2\n", "fringe"),
+            ("[fringe]\npoints = -3\n", "fringe"),
+            ("[grid]\npoints = -5\n", "spectra"),
+            ("[hom]\ndelay_points = -2\n", "hom"),
+            ("[run]\nseed = -1\n", "hom"),
+            ("[run]\nnoiseless = true\n[fringe]\nvisibility_n1 = 0.0\n", "fringe"),
         ],
     )
     def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
@@ -247,13 +258,16 @@ class TestDeterminism:
         run_cli("--out", str(out2), "--seed", "2", "hom")
         assert (out1 / "hom_source.csv").read_bytes() != (out2 / "hom_source.csv").read_bytes()
 
-    def test_scipy_loaded_only_by_the_fringe_fit(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         # A fresh interpreter: this test session has imported scipy already.
         script = textwrap.dedent(
             f"""
             import sys
             from noonsim.cli import main
-            for args in (["spectra"], ["--noiseless", "hom"], ["bunching"], ["budget"]):
+            commands = (
+                ["spectra"], ["--noiseless", "hom"], ["bunching"], ["budget"], ["fringe"], ["--noiseless", "fringe"]
+            )
+            for args in commands:
                 assert main(["--out", {str(tmp_path)!r}] + args) == 0, args
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert not loaded, loaded

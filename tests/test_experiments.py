@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,9 @@ class TestPlatePhase:
             ns.plate_phase(np.pi / 2, 2e-4, 1.5, 525e-9)
         with pytest.raises(ValueError):
             ns.plate_phase(0.1, 2e-4, 0.9, 525e-9)
+        for thickness_m, wavelength_m in ((0.0, 525e-9), (-2e-4, 525e-9), (2e-4, 0.0), (2e-4, -5e-7)):
+            with pytest.raises(ValueError):
+                ns.plate_phase(0.1, thickness_m, 1.5, wavelength_m)
 
 
 class TestFitVisibility:
@@ -262,9 +266,8 @@ class TestFitVisibility:
 
     def test_repeated_seed_coverage(self):
         # Repeated-seed Monte Carlo: nearly every fit must recover the true
-        # visibility within its own 3-sigma band.  (The sqrt-count weighting
-        # carries the usual small upward bias at these count levels, so the
-        # right statement is coverage, not ensemble-mean equality.)
+        # visibility within its own 3-sigma band.  (The ensemble mean is
+        # checked by test_visibility_pull_is_calibrated on a longer scan.)
         phases = np.linspace(0.0, 2 * np.pi, 48)
         covered = 0
         for seed in range(60):
@@ -272,6 +275,52 @@ class TestFitVisibility:
             report = ns.fit_visibility(scan, 2)
             covered += abs(report.visibility - 0.8493) < 3 * report.visibility_sigma
         assert covered >= 57  # >= 95% of 60
+
+    def test_visibility_pull_is_calibrated(self):
+        # Long low-count scans, where weighting by the observed counts would
+        # put the N = 1 visibility about 8.5 sigma high: the pull
+        # z = (fit - truth) / sigma must have mean 0 and unit spread.
+        phases = np.linspace(0.0, 4 * np.pi, 2000)
+        pulls = []
+        for seed in range(200):
+            scan = ns.noon_fringe(1, 0.9751, phases, 120.0, 1.0, seed)
+            report = ns.fit_visibility(scan, 1)
+            pulls.append((report.visibility - 0.9751) / report.visibility_sigma)
+        assert abs(np.mean(pulls)) < 0.3
+        assert 0.85 < np.std(pulls, ddof=1) < 1.15
+
+    def test_random_scans_fit_or_fail_cleanly(self):
+        # Every fit returns a report or raises FitError, never warns, and a
+        # resolved fringe (at least 24 points, V >= 0.5, a mean of at least
+        # 3 counts per bin) always returns a report.
+        rng = np.random.default_rng(2024)
+        reports = 0
+        for i in range(200):
+            points = int(np.exp(rng.uniform(np.log(8), np.log(500))))
+            rate = 10.0 ** rng.uniform(-1.0, 6.0)
+            vis = float(rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]))
+            n = int(rng.integers(1, 3))
+            phases = np.linspace(0.0, 2 * np.pi * rng.uniform(1.0, 2.0), points)
+            scan = ns.noon_fringe(n, vis, phases, rate, 1.0, i, noiseless=bool(i % 2))
+            resolved = points >= 24 and vis >= 0.5 and rate / 2 >= 3.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    report = ns.fit_visibility(scan, n)
+                except ns.FitError:
+                    assert not resolved, (points, rate, vis, n, scan.noiseless)
+                    continue
+            assert isinstance(report, ns.FitReport)
+            reports += 1
+        assert reports > 150
+
+    def test_flat_data_has_no_fringe(self):
+        phases = np.linspace(0.0, 2 * np.pi, 32)
+        flat = ns.noon_fringe(1, 0.0, phases, 600.0, 1.0, 5, noiseless=True)
+        dark = ns.ScanResult(phases, np.zeros(32), np.zeros(32), 5, 600.0, 1.0)
+        for scan in (flat, dark):
+            with pytest.raises(ns.FitError, match="no fringe"):
+                ns.fit_visibility(scan, 1)
 
     def test_scale_invariance(self):
         phases = np.linspace(0.0, 2 * np.pi, 64)
