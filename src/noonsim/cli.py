@@ -482,7 +482,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            try:
+                cfg.seed = _coerce(str(args.seed), int)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --seed: {exc}") from exc
         if args.noiseless:
             cfg.noiseless = True
         return _COMMANDS[args.command](cfg, Path(args.out))

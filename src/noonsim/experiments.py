@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fock
 from .elements import CircuitElement, Circuit, apply_circuit
-from .spectral import Spectrum, overlap_kernel
+from .spectral import Spectrum, _read_csv, _write_csv, overlap_kernel
 
 
 class FitError(Exception):
@@ -199,9 +199,8 @@ class ScanResult:
 
     def to_csv(self) -> str:
         sigma = np.sqrt(np.maximum(self.counts, 1.0))
-        columns = (self.param.tolist(), self.expected.tolist(), self.counts.tolist(), sigma.tolist())
-        rows = map("{:.12g},{:.12g},{:d},{:.12g}".format, *columns)
-        return "\n".join(["param,expected,counts,sigma", *rows]) + "\n"
+        header, row_format = "param,expected,counts,sigma", "%.12g,%.12g,%d,%.12g\n"
+        return _write_csv(header, row_format, self.param, self.expected, self.counts, sigma)
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0, rate_hz: float = 0.0, t_bin_s: float = 0.0) -> "ScanResult":
@@ -211,18 +210,8 @@ class ScanResult:
         recomputed).  Seed, rate and bin time come from the arguments, and
         ``noiseless`` and ``param_name`` read back as their defaults.
         """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].split(",")[:3] != ["param", "expected", "counts"]:
-            raise ValueError("expected a 'param,expected,counts,sigma' header")
-        rows = [ln.split(",") for ln in lines[1:]]
-        return cls(
-            param=np.array([float(r[0]) for r in rows]),
-            expected=np.array([float(r[1]) for r in rows]),
-            counts=np.array([int(r[2]) for r in rows]),
-            seed=seed,
-            rate_hz=rate_hz,
-            t_bin_s=t_bin_s,
-        )
+        param, expected, counts = _read_csv(text, "param,expected,counts,sigma", (float, float, int))
+        return cls(param, expected, counts, seed=seed, rate_hz=rate_hz, t_bin_s=t_bin_s)
 
 
 def _finish_scan(

@@ -11,6 +11,7 @@ The refractive-index data itself ships as a plain-text coefficient file
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -311,19 +312,48 @@ class Spectrum:
         return Spectrum(self.wavelength_nm, self.density / peak, self.clipped)
 
     def to_csv(self) -> str:
-        rows = map("{:.12g},{:.12g}".format, self.wavelength_nm.tolist(), self.density.tolist())
-        return "\n".join(["wavelength_nm,density", *rows]) + "\n"
+        return _write_csv("wavelength_nm,density", "%.12g,%.12g\n", self.wavelength_nm, self.density)
 
     @classmethod
     def from_csv(cls, text: str) -> "Spectrum":
         """Parse ``to_csv`` output.  The CSV has no ``clipped`` column, so it reads back False."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].split(",")[:2] != ["wavelength_nm", "density"]:
-            raise ValueError("expected a 'wavelength_nm,density' header")
-        rows = [ln.split(",") for ln in lines[1:]]
-        lam = np.array([float(r[0]) for r in rows])
-        dens = np.array([float(r[1]) for r in rows])
-        return cls(lam, dens)
+        return cls(*_read_csv(text, "wavelength_nm,density", (float, float)))
+
+
+def _write_csv(header: str, row_format: str, *columns: np.ndarray) -> str:
+    """``header`` plus one ``row_format`` line per row, all rows in one ``%`` operation."""
+    cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    return f"{header}\n" + (row_format * len(columns[0])) % cells
+
+
+def _read_csv(text: str, header: str, types: Sequence[type]) -> list[np.ndarray]:
+    """The first ``len(types)`` columns of a CSV whose header starts like ``header``.
+
+    Blank lines are skipped and extra trailing columns ignored.  When every
+    row has the same width, the data lines are joined and each column is
+    parsed in one numpy call; otherwise rows are read one by one.  A short
+    row or an unparsable cell raises ValueError naming its 1-based line.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].split(",")[: len(types)] != header.split(",")[: len(types)]:
+        raise ValueError(f"expected a {header!r} header")
+    data = lines[1:]
+    commas = set(map(str.count, data, itertools.repeat(",")))
+    if len(commas) == 1 and (width := commas.pop() + 1) >= len(types):
+        cells = ",".join(data).split(",")
+        try:
+            return [np.array(cells[j::width], dtype=t) for j, t in enumerate(types)]
+        except (ValueError, OverflowError):
+            pass  # an unparsable cell: find its line below
+    rows = []
+    numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    for number, line in numbered[1:]:
+        cells = line.split(",")
+        try:
+            rows.append([np.array(cells[j], dtype=t) for j, t in enumerate(types)])
+        except (IndexError, ValueError, OverflowError):
+            raise ValueError(f"line {number}: cannot read {len(types)} values from {line!r}") from None
+    return [np.array([row[j] for row in rows], dtype=t) for j, t in enumerate(types)]
 
 
 def _shape_spectrum(grid_nm: np.ndarray, dk: np.ndarray, length_mm: float) -> Spectrum:
@@ -419,16 +449,24 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     grid center, linearized as omega = 2*pi*c*(lam0 - lam)/lam0^2, and
     symmetrized in the detuning as the degenerate-pair construction
     implies; delays are path-length differences converted at tau = delay/c.
-    The kernel equals exactly 1 at zero delay.
+
+    The symmetrized density is even about the grid center and omega is odd
+    there, so cos(tau*omega) pairs point i with point N-1-i and the sum runs
+    over the left ceil(N/2) points only, weighted by density[i] +
+    density[N-1-i] (the middle point of an odd grid once).  The zero-delay
+    row goes through the same matmul as the delays and divides them, so the
+    kernel equals exactly 1 at zero delay whatever the summation order.
     """
-    lam = spectrum.wavelength_nm
+    lam, dens = spectrum.wavelength_nm, spectrum.density
+    half = (lam.size + 1) // 2
     lam0 = 0.5 * (lam[0] + lam[-1])
-    omega = 2.0 * np.pi * _C_NM_PER_S * (lam0 - lam) / lam0**2
-    sym = 0.5 * (spectrum.density + spectrum.density[::-1])
+    omega = 2.0 * np.pi * _C_NM_PER_S * (lam0 - lam[:half]) / lam0**2
+    weight = dens[:half] + dens[::-1][:half]
+    if lam.size % 2:
+        weight[-1] = dens[half - 1]
     tau = np.atleast_1d(np.asarray(delays_mm, dtype=float)) / _C_MM_PER_S
-    # Normalize by a zero-delay row evaluated through the same matmul path,
-    # so g(0) is exactly 1 regardless of summation order.
-    rows = np.cos(np.outer(np.concatenate(([0.0], tau)), omega)) @ sym
+    phase = np.outer(np.concatenate(([0.0], tau)), omega)
+    rows = np.cos(phase, out=phase) @ weight
     return rows[1:] / rows[0]
 
 

@@ -218,6 +218,7 @@ class TestInvalidInput:
             ("[hom]\ndelay_points = -2\n", "hom"),
             ("[run]\nseed = -1\n", "hom"),
             ("[run]\nnoiseless = true\n[fringe]\nvisibility_n1 = 0.0\n", "fringe"),
+            ("", "--seed -1 hom"),
         ],
     )
     def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
@@ -226,9 +227,14 @@ class TestInvalidInput:
         args = ["--config", str(cfg), "--out", str(tmp_path / "o")] + (["--noiseless"] if noiseless else [])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(*args, command) == 1
+            assert run_cli(*args, *command.split()) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("noonsim: error:")
+
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys):
+        assert run_cli("--out", str(tmp_path / "o"), "--seed", "-1", "hom") == 1
+        err = capsys.readouterr().err
+        assert err == "noonsim: error: bad value for --seed: expected a nonnegative integer, got '-1'\n"
 
     def test_zero_stage_budget_reports_infinite_ratio(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -452,6 +452,45 @@ class TestScanResult:
         with pytest.raises(ValueError):
             ns.ScanResult.from_csv("x,y\n1,2\n")
 
+    def test_csv_matches_per_row_formatter_and_parses_back_exactly(self):
+        rng = np.random.default_rng(7)
+        special = [-0.0, 0.0, 5e-324, 1e-300, 1e300]
+        param = np.concatenate((special, [-1e300, -5e-324], rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)))
+        expected = np.abs(param)
+        counts = rng.integers(0, 2**63 - 1, param.size, dtype=np.int64)
+        counts[:3] = [0, 1, 2**63 - 1]
+        scan = ns.ScanResult(param, expected, counts, 0, 1.0, 1.0)
+        sigma = np.sqrt(np.maximum(counts, 1.0))
+        columns = (param.tolist(), expected.tolist(), counts.tolist(), sigma.tolist())
+        rows = map("{:.12g},{:.12g},{:d},{:.12g}".format, *columns)
+        text = scan.to_csv()
+        assert text == "\n".join(["param,expected,counts,sigma", *rows]) + "\n"
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        again = ns.ScanResult.from_csv(text)
+        for j, got in enumerate((again.param, again.expected)):
+            want = np.array([float(row[j]) for row in cells])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert again.counts.dtype == np.int64
+        assert again.counts.tolist() == [int(row[2]) for row in cells] == counts.tolist()
+
+    @pytest.mark.parametrize(
+        ("text", "line"),
+        [
+            ("param,expected,counts\n0,1\n", 2),
+            ("param,expected,counts\n0,1,2\n\n1,2\n", 4),
+            ("param,expected,counts\n0,1,2\n1,2,3.0\n", 3),
+            ("param,expected,counts,sigma\n0,1,2,1.4\nx,2,3,1.7\n", 3),
+            ("param,expected,counts\n0,1,2\n1,2,9223372036854775808\n", 3),
+        ],
+    )
+    def test_csv_bad_row_names_its_line(self, text, line):
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            ns.ScanResult.from_csv(text)
+
+    def test_csv_extra_columns_accepted(self):
+        scan = ns.ScanResult.from_csv("param,expected,counts\n0,1,2,x\n1,2,3\n2,3,4,y,z\n")
+        assert scan.param.tolist() == [0.0, 1.0, 2.0] and scan.counts.tolist() == [2, 3, 4]
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             ns.ScanResult(np.array([0.0]), np.array([-1.0]), np.array([0]), 0, 1.0, 1.0)

@@ -291,6 +291,23 @@ class TestHomProfile:
         for spec in (emission, filtered):
             assert ns.overlap_kernel(spec, [0.0])[0] == 1.0
 
+    @pytest.mark.parametrize("points", [3, 4, 1001, 1024, 4095, 4096])
+    def test_half_grid_kernel_matches_full_grid_sum(self, points):
+        # Independent oracle: the cosine sum over every grid point of the
+        # symmetrized density, for an asymmetric density on odd and even grids.
+        rng = np.random.default_rng(points)
+        grid = np.linspace(1539.0, 1555.0, points)
+        dens = np.exp(-(((grid - 1545.5) / 2.0) ** 2)) * (1.0 + 0.5 * rng.random(points))
+        spec = ns.Spectrum(grid, dens)
+        delays = np.concatenate(([0.0], np.linspace(-8.0, 8.0, 161), rng.uniform(-3.0, 3.0, 20)))
+        lam0 = 0.5 * (grid[0] + grid[-1])
+        omega = 2 * np.pi * C_NM_PER_S * (lam0 - grid) / lam0**2
+        sym = 0.5 * (dens + dens[::-1])
+        want = np.cos(np.outer(delays / C_MM_PER_S, omega)) @ sym / sym.sum()
+        got = ns.overlap_kernel(spec, delays)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert got[0] == 1.0 and got[81] == 1.0  # both zero delays
+
     def test_profile_bounds_and_far_baseline(self, emission):
         vis = 0.9
         delays = np.linspace(-30.0, 30.0, 501)
@@ -352,6 +369,40 @@ class TestSpectrumType:
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
             ns.Spectrum.from_csv("lambda,value\n1,2\n")
+
+    def test_csv_matches_per_row_formatter(self):
+        rng = np.random.default_rng(5)
+        special = [-0.0, 0.0, 5e-324, 1e-300, 1e300, 1.0, 0.1]
+        dens = np.concatenate((special, rng.random(50), rng.random(50) * 10.0 ** rng.integers(-300, 300, 50)))
+        spec = ns.Spectrum(np.linspace(1500.0, 1600.0, dens.size), dens)
+        rows = map("{:.12g},{:.12g}".format, spec.wavelength_nm.tolist(), spec.density.tolist())
+        assert spec.to_csv() == "\n".join(["wavelength_nm,density", *rows]) + "\n"
+
+    def test_csv_read_matches_per_value_float(self):
+        rng = np.random.default_rng(6)
+        lam = np.linspace(1500.0, 1600.0, 300)
+        dens = np.concatenate(([0.0, 5e-324, 1e-300, 1e300], rng.random(296) * 10.0 ** rng.integers(-300, 300, 296)))
+        cells = [(repr(a), repr(b)) for a, b in zip(lam.tolist(), dens.tolist())]
+        cells[:3] = [(cells[0][0], "-0"), (cells[1][0], " 1e-400"), (cells[2][0], "4.94065645841e-324 ")]
+        text = "wavelength_nm,density\n" + "".join(f"{a},{b}\n" for a, b in cells)
+        for variant in (text, text.replace("\n", "\n\n"), text.replace(",-0\n", ",-0,extra\n")):
+            back = ns.Spectrum.from_csv(variant)
+            for column, got in zip(zip(*cells), (back.wavelength_nm, back.density)):
+                want = np.array([float(cell) for cell in column])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        ("text", "line"),
+        [
+            ("wavelength_nm,density\n1547.0\n1548,0.5\n1549,0.2\n", 2),
+            ("wavelength_nm,density\n\n1547,1\n1548,0.5\n\n1549\n", 6),
+            ("wavelength_nm,density\n1547,1\n1548,abc\n1549,0.2\n", 3),
+            ("wavelength_nm,density,note\n1547,1,a\n1548,,b\n1549,0.2,c\n", 3),
+        ],
+    )
+    def test_csv_bad_row_names_its_line(self, text, line):
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            ns.Spectrum.from_csv(text)
 
     def test_normalization_idempotent(self, filtered):
         once = filtered.normalized()
