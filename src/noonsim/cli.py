@@ -132,6 +132,17 @@ def _schema() -> dict[tuple[str, str], tuple[str, object]]:
 
 _SCHEMA = _schema()
 
+#: Largest accepted point count per key, checked before anything is built.
+#: The overlap kernel holds a (delays + 1) x points/2 float64 matrix, so the
+#: grid and delay caps bound it at about 0.5 GiB.
+_MAX_POINTS = {
+    "grid_points": 65536,
+    "hom_delay_points": 2048,
+    "hom_up_delay_points": 2048,
+    "bunching_delay_points": 2048,
+    "fringe_points": 1_000_000,
+}
+
 
 class ConfigError(Exception):
     """A config file problem the user can act on."""
@@ -161,6 +172,8 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
                 value = _coerce(raw, hint)
+                if name in _MAX_POINTS and value > _MAX_POINTS[name]:
+                    raise ValueError(f"expected at most {_MAX_POINTS[name]} points, got {raw!r}")
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
             if name is None:
@@ -489,8 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.noiseless:
             cfg.noiseless = True
         return _COMMANDS[args.command](cfg, Path(args.out))
-    except (ConfigError, sp.SpectralError, xp.FitError, ValueError, OSError) as exc:
-        print(f"noonsim: error: {exc}", file=sys.stderr)
+    except (ConfigError, sp.SpectralError, xp.FitError, ValueError, OSError, MemoryError) as exc:
+        print(f"noonsim: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

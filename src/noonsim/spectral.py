@@ -326,27 +326,38 @@ def _write_csv(header: str, row_format: str, *columns: np.ndarray) -> str:
     return f"{header}\n" + (row_format * len(columns[0])) % cells
 
 
+#: The bytes a number written by ``_write_csv`` (or by ``repr``) may contain.
+_NUMBER_BYTES = b"0123456789.+-eE"
+
+
 def _read_csv(text: str, header: str, types: Sequence[type]) -> list[np.ndarray]:
     """The first ``len(types)`` columns of a CSV whose header starts like ``header``.
 
-    Blank lines are skipped and extra trailing columns ignored.  When every
-    row has the same width, the data lines are joined and each column is
-    parsed in one numpy call; otherwise rows are read one by one.  A short
-    row or an unparsable cell raises ValueError naming its 1-based line.
+    Blank lines are skipped and extra trailing columns ignored.  The common
+    case is checked in one pass over the bytes after the first line: with
+    the bytes ``0-9 . + - e E`` deleted, what is left must be one row of
+    header-width commas and a newline per data line (the last newline may
+    be missing).  Then the body is split once and each column parsed in one
+    numpy call.  Anything else (blank lines, CRLF, spaces, ``nan``, a
+    ragged row, an unparsable cell) is read line by line, where a short row
+    or an unparsable cell raises ValueError naming its 1-based line.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split(",")[: len(types)] != header.split(",")[: len(types)]:
-        raise ValueError(f"expected a {header!r} header")
-    data = lines[1:]
-    commas = set(map(str.count, data, itertools.repeat(",")))
-    if len(commas) == 1 and (width := commas.pop() + 1) >= len(types):
-        cells = ",".join(data).split(",")
-        try:
-            return [np.array(cells[j::width], dtype=t) for j, t in enumerate(types)]
-        except (ValueError, OverflowError):
-            pass  # an unparsable cell: find its line below
-    rows = []
+    names = header.split(",")[: len(types)]
+    first, _, body = text.partition("\n")
+    width = first.count(",") + 1
+    if first.isprintable() and first.split(",")[: len(types)] == names and body.isascii():
+        count = body.count("\n") + (body[-1:] not in ("", "\n"))
+        skeleton = (b"," * (width - 1) + b"\n") * count
+        if body.encode().translate(None, _NUMBER_BYTES) in (skeleton, skeleton[:-1]):
+            cells = body.replace("\n", ",").split(",")
+            try:
+                return [np.array(cells[j : count * width : width], dtype=t) for j, t in enumerate(types)]
+            except (ValueError, OverflowError):
+                pass  # an unparsable cell: find its line below
     numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered or numbered[0][1].split(",")[: len(types)] != names:
+        raise ValueError(f"expected a {header!r} header")
+    rows = []
     for number, line in numbered[1:]:
         cells = line.split(",")
         try:
@@ -453,9 +464,11 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     The symmetrized density is even about the grid center and omega is odd
     there, so cos(tau*omega) pairs point i with point N-1-i and the sum runs
     over the left ceil(N/2) points only, weighted by density[i] +
-    density[N-1-i] (the middle point of an odd grid once).  The zero-delay
-    row goes through the same matmul as the delays and divides them, so the
-    kernel equals exactly 1 at zero delay whatever the summation order.
+    density[N-1-i] (the middle point of an odd grid once).  The transform
+    is even in the delay, so one row is computed per distinct |delay|, zero
+    included: a mirrored pair shares its row (g(-tau) == g(tau) bitwise) and
+    a symmetric scan costs half the cosines.  Every delay divides by the
+    zero row of the same matmul, so the kernel is exactly 1 at zero delay.
     """
     lam, dens = spectrum.wavelength_nm, spectrum.density
     half = (lam.size + 1) // 2
@@ -465,9 +478,10 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     if lam.size % 2:
         weight[-1] = dens[half - 1]
     tau = np.atleast_1d(np.asarray(delays_mm, dtype=float)) / _C_MM_PER_S
-    phase = np.outer(np.concatenate(([0.0], tau)), omega)
+    distinct, back = np.unique(np.concatenate(([0.0], np.abs(tau))), return_inverse=True)
+    phase = np.outer(distinct, omega)
     rows = np.cos(phase, out=phase) @ weight
-    return rows[1:] / rows[0]
+    return rows[back[1:]] / rows[0]
 
 
 def hom_profile(spectrum: Spectrum, delays_mm: ArrayLike, visibility: float) -> np.ndarray:

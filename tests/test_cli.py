@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import noonsim as ns
-from noonsim.cli import _DEFAULT_STAGES, _SCHEMA, RunConfig, load_config, main, read_summary
+from noonsim.cli import _COMMANDS, _DEFAULT_STAGES, _SCHEMA, ConfigError, RunConfig, load_config, main, read_summary
 
 
 def run_cli(*args):
@@ -219,6 +219,12 @@ class TestInvalidInput:
             ("[run]\nseed = -1\n", "hom"),
             ("[run]\nnoiseless = true\n[fringe]\nvisibility_n1 = 0.0\n", "fringe"),
             ("", "--seed -1 hom"),
+            ("[grid]\npoints = 65537\n", "spectra"),
+            ("[grid]\npoints = 1000000000000000000000\n", "spectra"),
+            ("[hom]\ndelay_points = 2049\n", "hom"),
+            ("[hom]\nup_delay_points = 2049\n", "hom"),
+            ("[bunching]\ndelay_points = 2049\n", "bunching"),
+            ("[fringe]\npoints = 1000001\n", "fringe"),
         ],
     )
     def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
@@ -235,6 +241,31 @@ class TestInvalidInput:
         assert run_cli("--out", str(tmp_path / "o"), "--seed", "-1", "hom") == 1
         err = capsys.readouterr().err
         assert err == "noonsim: error: bad value for --seed: expected a nonnegative integer, got '-1'\n"
+
+    def test_point_caps_are_inclusive(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "[grid]\npoints = 65536\n[hom]\ndelay_points = 2048\nup_delay_points = 2048\n"
+            "[bunching]\ndelay_points = 2048\n[fringe]\npoints = 1000000\n"
+        )
+        cfg = load_config(str(path))
+        assert (cfg.grid_points, cfg.hom_delay_points, cfg.hom_up_delay_points) == (65536, 2048, 2048)
+        assert (cfg.bunching_delay_points, cfg.fringe_points) == (2048, 1000000)
+        path.write_text("[grid]\npoints = 65537\n")
+        with pytest.raises(ConfigError, match=r"^bad value for \[grid\] points: expected at most 65536 points"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        ("exc", "message"),
+        [(MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"), (MemoryError(), "out of memory")],
+    )
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, exc, message):
+        def cmd(cfg, out_dir):
+            raise exc
+
+        monkeypatch.setitem(_COMMANDS, "spectra", cmd)
+        assert run_cli("--out", str(tmp_path / "o"), "spectra") == 1
+        assert capsys.readouterr().err == f"noonsim: error: {message}\n"
 
     def test_zero_stage_budget_reports_infinite_ratio(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -300,13 +300,23 @@ class TestHomProfile:
         dens = np.exp(-(((grid - 1545.5) / 2.0) ** 2)) * (1.0 + 0.5 * rng.random(points))
         spec = ns.Spectrum(grid, dens)
         delays = np.concatenate(([0.0], np.linspace(-8.0, 8.0, 161), rng.uniform(-3.0, 3.0, 20)))
+        # Exact +- pairs, duplicates, both signed zeros, in no order; then
+        # the same without a zero, and a lone zero.
+        pairs = rng.uniform(0.0, 8.0, 30)
+        mixed = rng.permutation(np.concatenate((pairs, -pairs, pairs[:5], -pairs[5:8], [-0.0, 0.0, -0.0])))
         lam0 = 0.5 * (grid[0] + grid[-1])
         omega = 2 * np.pi * C_NM_PER_S * (lam0 - grid) / lam0**2
         sym = 0.5 * (dens + dens[::-1])
-        want = np.cos(np.outer(delays / C_MM_PER_S, omega)) @ sym / sym.sum()
-        got = ns.overlap_kernel(spec, delays)
-        assert np.max(np.abs(got - want)) < 1e-12
-        assert got[0] == 1.0 and got[81] == 1.0  # both zero delays
+        for scan in (delays, mixed, mixed[mixed != 0.0], np.array([0.0])):
+            want = np.cos(np.outer(scan / C_MM_PER_S, omega)) @ sym / sym.sum()
+            got = ns.overlap_kernel(spec, scan)
+            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.all(got[scan == 0.0] == 1.0)
+            bits = got.view(np.int64)
+            mirrored = np.abs(scan)[:, None] == np.abs(scan)[None, :]
+            assert np.all((bits[:, None] == bits[None, :])[mirrored])
+            if scan is delays:
+                assert got[0] == 1.0 and got[81] == 1.0  # both zero delays
 
     def test_profile_bounds_and_far_baseline(self, emission):
         vis = 0.9
