@@ -217,11 +217,8 @@ def _coerce(raw: str, hint: object) -> object:
 # ---------------------------------------------------------------------------
 
 
-def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec, float, float]:
-    """SPDC and SFG crystals with poling solved unless pinned in config.
-
-    Returns (spdc, sfg, idler_nm, sfg_nm) with the slaved wavelengths.
-    """
+def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
+    """SPDC and SFG crystals with poling solved unless pinned in config."""
     if not 0.0 < cfg.spdc_pump_nm < cfg.spdc_signal_nm:
         raise ConfigError(
             "[source_crystal] needs 0 < pump_nm < signal_nm, "
@@ -265,7 +262,7 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec, flo
     )
     if cfg.sfg_poling_um is None:
         sfg = sp.with_solved_poling(sfg, (sfg_nm, cfg.sfg_pump_nm, cfg.sfg_signal_nm))
-    return spdc, sfg, idler_nm, sfg_nm
+    return spdc, sfg
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -276,7 +273,7 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.CrystalSpec, sp.CrystalSpec]:
-    spdc, sfg, _, _ = _build_crystals(cfg)
+    spdc, sfg = _build_crystals(cfg)
     grid = _grid(cfg)
     emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
     if cfg.grid_unit_acceptance:
@@ -402,7 +399,6 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.fringe_axis == "phase":
         axis = np.linspace(cfg.fringe_phase_min_rad, cfg.fringe_phase_max_rad, cfg.fringe_points)
         phases = axis
-        param_name = "phase_rad"
     elif cfg.fringe_axis == "plate":
         axis = np.linspace(cfg.fringe_plate_tilt_min_rad, cfg.fringe_plate_tilt_max_rad, cfg.fringe_points)
         phases = np.array(
@@ -416,7 +412,6 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
                 for tilt in axis
             ]
         )
-        param_name = "plate_tilt_rad"
     else:
         raise ConfigError(f"fringe axis must be 'phase' or 'plate', got {cfg.fringe_axis!r}")
 
@@ -426,7 +421,7 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
             n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
         )
         reports[n] = xp.fit_visibility(scan, n)
-        scan = replace(scan, param=axis, param_name=param_name)
+        scan = replace(scan, param=axis)
         _write(out_dir, f"fringe_n{n}.csv", scan.to_csv())
 
     ratio = reports[2].frequency / reports[1].frequency

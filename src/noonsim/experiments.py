@@ -174,11 +174,7 @@ class ScanResult:
     param: np.ndarray
     expected: np.ndarray
     counts: np.ndarray
-    seed: int
-    rate_hz: float
-    t_bin_s: float
     noiseless: bool = False
-    param_name: str = "param"
 
     def __post_init__(self):
         self.param = np.asarray(self.param, dtype=float)
@@ -203,31 +199,17 @@ class ScanResult:
         return _write_csv(header, row_format, self.param, self.expected, self.counts, sigma)
 
     @classmethod
-    def from_csv(cls, text: str, seed: int = 0, rate_hz: float = 0.0, t_bin_s: float = 0.0) -> "ScanResult":
-        """Parse ``to_csv`` output.
-
-        The CSV carries only the param, expected and counts columns (sigma is
-        recomputed).  Seed, rate and bin time come from the arguments, and
-        ``noiseless`` and ``param_name`` read back as their defaults.
-        """
-        param, expected, counts = _read_csv(text, "param,expected,counts,sigma", (float, float, int))
-        return cls(param, expected, counts, seed=seed, rate_hz=rate_hz, t_bin_s=t_bin_s)
+    def from_csv(cls, text: str) -> "ScanResult":
+        """Parse ``to_csv`` output.  The CSV has no ``noiseless`` column, so it reads back False."""
+        return cls(*_read_csv(text, "param,expected,counts,sigma", (float, float, int)))
 
 
-def _finish_scan(
-    param: np.ndarray,
-    expected: np.ndarray,
-    seed: int,
-    rate_hz: float,
-    t_bin_s: float,
-    noiseless: bool,
-    param_name: str,
-) -> ScanResult:
+def _finish_scan(param: np.ndarray, expected: np.ndarray, seed: int, noiseless: bool) -> ScanResult:
     if noiseless:
         counts = np.rint(_checked_means(expected)).astype(np.int64)
     else:
         counts = poisson_counts(expected, seed)
-    return ScanResult(param, expected, counts, seed, rate_hz, t_bin_s, noiseless, param_name)
+    return ScanResult(param, expected, counts, noiseless)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +235,7 @@ def _delay_scan(
     delays = np.asarray(delays_mm, dtype=float)
     expected = rate_hz * t_bin_s * shape(overlap * overlap_kernel(spectrum, delays))
     expected = np.clip(expected, 0.0, None)
-    return _finish_scan(delays, expected, seed, rate_hz, t_bin_s, noiseless, "delay_mm")
+    return _finish_scan(delays, expected, seed, noiseless)
 
 
 def hom_scan(
@@ -308,13 +290,12 @@ def noon_fringe(
     t_bin_s: float,
     seed: int,
     noiseless: bool = False,
-    phase_offset: float = FRINGE_PHASE_OFFSET,
 ) -> ScanResult:
     """Interference fringe of an N-photon path-entangled input.
 
     Expected counts per bin are rate * t_bin * (1 + V cos(N phi + phi0)) / 2;
-    the default phi0 = pi places the zero of the pattern at phi = 0, matching
-    the Fock-space pipeline's reference detection pattern.
+    phi0 = ``FRINGE_PHASE_OFFSET`` = pi places the zero of the pattern at
+    phi = 0, matching the Fock-space pipeline's reference detection pattern.
     """
     if n_photons < 1:
         raise ValueError("photon number must be at least 1")
@@ -323,9 +304,9 @@ def noon_fringe(
     if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
         raise ValueError("rate and integration time must be positive and finite")
     phases = np.asarray(phases_rad, dtype=float)
-    expected = rate_hz * t_bin_s * (1.0 + visibility * np.cos(n_photons * phases + phase_offset)) / 2.0
+    expected = rate_hz * t_bin_s * (1.0 + visibility * np.cos(n_photons * phases + FRINGE_PHASE_OFFSET)) / 2.0
     expected = np.clip(expected, 0.0, None)
-    return _finish_scan(phases, expected, seed, rate_hz, t_bin_s, noiseless, "phase_rad")
+    return _finish_scan(phases, expected, seed, noiseless)
 
 
 def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np.ndarray:
@@ -370,26 +351,30 @@ def plate_phase(tilt_rad: float, thickness_m: float, index: float, wavelength_m:
 # ---------------------------------------------------------------------------
 
 
-def _edge_baseline(data: np.ndarray, baseline_fraction: float) -> float:
-    """Mean of the outer ``baseline_fraction`` of a scan, split between its ends."""
-    k = max(1, int(len(data) * baseline_fraction / 2))
+#: Share of a scan's points, split between its two ends, that gives its baseline.
+_BASELINE_FRACTION = 0.1
+
+
+def _edge_baseline(data: np.ndarray) -> float:
+    """Mean of the outer ``_BASELINE_FRACTION`` of a scan, split between its ends."""
+    k = max(1, int(len(data) * _BASELINE_FRACTION / 2))
     baseline = float(np.mean(np.concatenate([data[:k], data[-k:]])))
     if baseline <= 0:
         raise ValueError("baseline is not positive; widen the scan")
     return baseline
 
 
-def dip_visibility(scan: ScanResult, baseline_fraction: float = 0.1) -> float:
+def dip_visibility(scan: ScanResult) -> float:
     """(baseline - dip) / baseline, with the baseline read from the scan edges."""
     data = scan.data()
-    baseline = _edge_baseline(data, baseline_fraction)
+    baseline = _edge_baseline(data)
     return (baseline - float(data.min())) / baseline
 
 
-def peak_to_baseline_ratio(scan: ScanResult, baseline_fraction: float = 0.1) -> float:
+def peak_to_baseline_ratio(scan: ScanResult) -> float:
     """max / edge-baseline of a scan, for bunching-style peaks."""
     data = scan.data()
-    return float(data.max()) / _edge_baseline(data, baseline_fraction)
+    return float(data.max()) / _edge_baseline(data)
 
 
 @dataclass

@@ -162,15 +162,11 @@ def enumerate_basis(
     return states
 
 
-def basis_state(
-    modes: Iterable[ModeId],
-    counts: Mapping[ModeId, int],
-    n_max: int = DEFAULT_MAX_PHOTONS,
-) -> StateVector:
+def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateVector:
     """A single occupation-number state as a normalized vector."""
     fock = FockState.from_counts(counts)
-    if fock.total() > n_max:
-        raise CapacityError(f"{fock.total()} photons exceed the truncation of {n_max}")
+    if fock.total() > DEFAULT_MAX_PHOTONS:
+        raise CapacityError(f"{fock.total()} photons exceed the truncation of {DEFAULT_MAX_PHOTONS}")
     return StateVector(tuple(modes), {fock: 1.0 + 0j})
 
 

@@ -85,25 +85,39 @@ class SellmeierCoefficients:
     source: str
 
     def __post_init__(self):
+        nonfinite = [key for key in _SELLMEIER_FIELDS if not math.isfinite(getattr(self, key))]
+        if nonfinite:
+            raise ValueError(f"section {self.name!r} has non-finite values for {nonfinite}")
         if not 0 < self.lambda_min_um < self.lambda_max_um:
             raise ValueError("validity window must satisfy 0 < min < max")
 
 
 def refractive_index(coeffs: SellmeierCoefficients, wavelength_nm: ArrayLike) -> ArrayLike:
-    """Refractive index at the given wavelength(s) in nanometers."""
-    lam_um = np.asarray(wavelength_nm, dtype=float) / 1000.0
+    """Refractive index at the given wavelength(s) in nanometers.
+
+    Raises SpectralError where the fit's n^2 is not positive and finite, as
+    it can be near a pole or for coefficients that are not physical.
+    """
+    lam_nm = np.asarray(wavelength_nm, dtype=float)
+    lam_um = lam_nm / 1000.0
     if not np.all((coeffs.lambda_min_um <= lam_um) & (lam_um <= coeffs.lambda_max_um)):
         raise WavelengthRangeError(
             f"wavelength outside validity window "
             f"[{coeffs.lambda_min_um * 1000:g}, {coeffs.lambda_max_um * 1000:g}] nm of {coeffs.name!r}"
         )
     lam2 = lam_um**2
-    n2 = (
-        coeffs.a
-        + coeffs.b1 / (1.0 - coeffs.c1 / lam2)
-        + (coeffs.b2 / (1.0 - coeffs.c2 / lam2) if coeffs.b2 else 0.0)
-        - coeffs.d * lam2
-    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n2 = (
+            coeffs.a
+            + coeffs.b1 / (1.0 - coeffs.c1 / lam2)
+            + (coeffs.b2 / (1.0 - coeffs.c2 / lam2) if coeffs.b2 else 0.0)
+            - coeffs.d * lam2
+        )
+    unphysical = ~(np.isfinite(n2) & (n2 > 0.0))
+    if unphysical.any():
+        raise SpectralError(
+            f"n^2 of {coeffs.name!r} is not positive and finite at {lam_nm[unphysical][0]:g} nm"
+        )
     n = np.sqrt(n2)
     return float(n) if np.isscalar(wavelength_nm) else n
 
@@ -127,7 +141,10 @@ def parse_sellmeier(text: str) -> dict[str, SellmeierCoefficients]:
         if current is None:
             raise ValueError(f"key/value outside any section at line {lineno}")
         key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        if key in current:
+            raise ValueError(f"duplicate key {key!r} in section {name!r} at line {lineno}")
+        current[key] = value.strip()
 
     out: dict[str, SellmeierCoefficients] = {}
     for name, fields in sections.items():
@@ -367,12 +384,23 @@ def _read_csv(text: str, header: str, types: Sequence[type]) -> list[np.ndarray]
     return [np.array([row[j] for row in rows], dtype=t) for j, t in enumerate(types)]
 
 
+def _peak_normalized(grid_nm: np.ndarray, density: np.ndarray) -> Spectrum:
+    """``density`` scaled to a unit peak, ``clipped`` if the grid misses its FWHM.
+
+    A density that is zero everywhere (a sinc^2 that underflowed) is rejected.
+    """
+    spectrum = Spectrum(grid_nm, density).normalized()
+    spectrum.clipped = bool(spectrum.density[0] > 0.5 or spectrum.density[-1] > 0.5)
+    return spectrum
+
+
 def _shape_spectrum(grid_nm: np.ndarray, dk: np.ndarray, length_mm: float) -> Spectrum:
-    arg = dk * (length_mm * 1e-3) / 2.0
-    density = np.sinc(arg / np.pi) ** 2
-    density = density / density.max()
-    clipped = bool(density[0] > 0.5 or density[-1] > 0.5)
-    return Spectrum(np.asarray(grid_nm, float), density, clipped=clipped)
+    # A crystal so long that dk * L overflows gives a NaN density, which
+    # Spectrum rejects as not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = dk * (length_mm * 1e-3) / 2.0
+        density = np.sinc(arg / np.pi) ** 2
+    return _peak_normalized(grid_nm, density)
 
 
 def emission_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
@@ -411,10 +439,7 @@ def filtered_spectrum(emission: Spectrum, acceptance: Spectrum) -> Spectrum:
         np.abs(emission.wavelength_nm - acceptance.wavelength_nm)
     ) > 1e-9:
         raise GridError("emission and acceptance spectra must share one grid")
-    density = emission.density * acceptance.density**2
-    density = density / density.max()
-    clipped = bool(density[0] > 0.5 or density[-1] > 0.5)
-    return Spectrum(emission.wavelength_nm, density, clipped=clipped)
+    return _peak_normalized(emission.wavelength_nm, emission.density * acceptance.density**2)
 
 
 def fwhm(spectrum: Spectrum) -> float:

@@ -1,4 +1,5 @@
 import configparser
+import re
 import subprocess
 import sys
 import textwrap
@@ -93,6 +94,15 @@ class TestConfig:
     def test_read_summary_rejects_garbage(self):
         with pytest.raises(ValueError):
             read_summary("no separator here\n")
+
+
+class TestReadme:
+    def test_library_example_runs_without_warnings(self):
+        # A fresh interpreter, so the example needs nothing this session set up.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        result = subprocess.run([sys.executable, "-W", "error", "-c", block], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestSpectraCommand:
@@ -225,6 +235,9 @@ class TestInvalidInput:
             ("[hom]\nup_delay_points = 2049\n", "hom"),
             ("[bunching]\ndelay_points = 2049\n", "bunching"),
             ("[fringe]\npoints = 1000001\n", "fringe"),
+            ("[source_crystal]\nlength_mm = 1e200\n", "spectra"),
+            ("[converter_crystal]\nlength_mm = 1e300\n", "spectra"),
+            ("[source_crystal]\nlength_mm = 1e308\n", "spectra"),
         ],
     )
     def test_one_error_line_and_no_warning(self, tmp_path, capsys, config, command, noiseless):
@@ -236,6 +249,33 @@ class TestInvalidInput:
             assert run_cli(*args, *command.split()) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("noonsim: error:")
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize(
+        ("pattern", "line", "message"),
+        [
+            (r"\[ny\]\n", "[ny]\na = 9.0\n", "duplicate key 'a' in section 'ny' at line 8"),
+            (r"(?m)^a = .*$", "a = nan", "section 'ny' has non-finite values for ['a']"),
+            (
+                r"(?m)^lambda_max_um = .*$",
+                "lambda_max_um = inf",
+                "section 'ny' has non-finite values for ['lambda_max_um']",
+            ),
+            (r"(?m)^a = .*$", "a = -50", "n^2 of 'ny' is not positive and finite at 773.5 nm"),
+            # A pole of the c1 term exactly at the signal wavelength.
+            (r"(?m)^c1 = .*$", "c1 = 2.393209", "n^2 of 'ny' is not positive and finite at 1547 nm"),
+        ],
+    )
+    def test_bad_sellmeier_file_is_one_error_line(self, tmp_path, capsys, pattern, line, message, noiseless):
+        data = tmp_path / "sellmeier.txt"
+        data.write_text(re.sub(pattern, line, ns.serialize_sellmeier(ns.load_sellmeier()), count=1))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[sellmeier]\nfile = {data}\n")
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")] + (["--noiseless"] if noiseless else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*args, "hom") == 1
+        assert capsys.readouterr().err == f"noonsim: error: {message}\n"
 
     def test_negative_seed_flag_is_named(self, tmp_path, capsys):
         assert run_cli("--out", str(tmp_path / "o"), "--seed", "-1", "hom") == 1

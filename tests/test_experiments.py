@@ -317,7 +317,7 @@ class TestFitVisibility:
     def test_flat_data_has_no_fringe(self):
         phases = np.linspace(0.0, 2 * np.pi, 32)
         flat = ns.noon_fringe(1, 0.0, phases, 600.0, 1.0, 5, noiseless=True)
-        dark = ns.ScanResult(phases, np.zeros(32), np.zeros(32), 5, 600.0, 1.0)
+        dark = ns.ScanResult(phases, np.zeros(32), np.zeros(32))
         for scan in (flat, dark):
             with pytest.raises(ns.FitError, match="no fringe"):
                 ns.fit_visibility(scan, 1)
@@ -325,10 +325,7 @@ class TestFitVisibility:
     def test_scale_invariance(self):
         phases = np.linspace(0.0, 2 * np.pi, 64)
         scan = ns.noon_fringe(2, 0.6, phases, 100.0, 1.0, 2, noiseless=True)
-        scaled = ns.ScanResult(
-            scan.param, scan.expected * 7.5, scan.counts, scan.seed, scan.rate_hz,
-            scan.t_bin_s, noiseless=True,
-        )
+        scaled = ns.ScanResult(scan.param, scan.expected * 7.5, scan.counts, noiseless=True)
         v1 = ns.fit_visibility(scan, 2).visibility
         v2 = ns.fit_visibility(scaled, 2).visibility
         assert v1 == pytest.approx(v2, abs=1e-9)
@@ -459,7 +456,7 @@ class TestScanResult:
         expected = np.abs(param)
         counts = rng.integers(0, 2**63 - 1, param.size, dtype=np.int64)
         counts[:3] = [0, 1, 2**63 - 1]
-        scan = ns.ScanResult(param, expected, counts, 0, 1.0, 1.0)
+        scan = ns.ScanResult(param, expected, counts)
         sigma = np.sqrt(np.maximum(counts, 1.0))
         columns = (param.tolist(), expected.tolist(), counts.tolist(), sigma.tolist())
         rows = map("{:.12g},{:.12g},{:d},{:.12g}".format, *columns)
@@ -493,6 +490,6 @@ class TestScanResult:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            ns.ScanResult(np.array([0.0]), np.array([-1.0]), np.array([0]), 0, 1.0, 1.0)
+            ns.ScanResult(np.array([0.0]), np.array([-1.0]), np.array([0]))
         with pytest.raises(ValueError):
-            ns.ScanResult(np.array([0.0]), np.array([1.0]), np.array([0, 1]), 0, 1.0, 1.0)
+            ns.ScanResult(np.array([0.0]), np.array([1.0]), np.array([0, 1]))

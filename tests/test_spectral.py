@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -57,6 +58,13 @@ class TestSellmeierData:
             ns.parse_sellmeier("[x]\na = 1\n")  # missing keys
         with pytest.raises(ValueError):
             ns.parse_sellmeier("[x]\n[x]\n")
+        packaged = ns.serialize_sellmeier(ns.load_sellmeier())
+        with pytest.raises(ValueError, match=r"^duplicate key 'a' in section 'ny' at line 8$"):
+            ns.parse_sellmeier(packaged.replace("[ny]\n", "[ny]\na = 9.0\n", 1))
+        for key, value in (("a", "nan"), ("c1", "-inf"), ("d", "inf"), ("lambda_max_um", "inf")):
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", packaged, count=1)
+            with pytest.raises(ValueError, match=rf"^section 'ny' has non-finite values for \['{key}'\]$"):
+                ns.parse_sellmeier(text)
 
 
 class TestPhaseMismatch:
