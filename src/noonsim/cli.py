@@ -133,8 +133,10 @@ def _schema() -> dict[tuple[str, str], tuple[str, object]]:
 _SCHEMA = _schema()
 
 #: Largest accepted point count per key, checked before anything is built.
-#: The overlap kernel holds a (delays + 1) x points/2 float64 matrix, so the
-#: grid and delay caps bound it at about 0.5 GiB.
+#: The overlap kernel's largest array is (delays + 1) x 2 sqrt(2 * points)
+#: float64, about 12 MB at the grid and delay caps (28 MB in all).  Only a
+#: delay scan reaching metres sends the kernel to its direct sum,
+#: whose (delays + 1) x points/2 matrix the caps bound at about 0.5 GiB.
 _MAX_POINTS = {
     "grid_points": 65536,
     "hom_delay_points": 2048,
@@ -272,14 +274,26 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.spdc_signal_nm - half, cfg.spdc_signal_nm + half, cfg.grid_points)
 
 
+def _crystal_spectrum(build, section: str, crystal: sp.CrystalSpec, pump_nm: float, grid: np.ndarray) -> sp.Spectrum:
+    """``build(crystal, pump_nm, grid)`` with its error naming the crystal's section and length.
+
+    A crystal too long for its sinc^2 fails only here, with a message about
+    the density that would not say which crystal it was.
+    """
+    try:
+        return build(crystal, pump_nm, grid)
+    except (sp.SpectralError, ValueError) as exc:
+        raise ConfigError(f"[{section}] spectrum with length_mm = {crystal.length_mm:g}: {exc}") from exc
+
+
 def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.CrystalSpec, sp.CrystalSpec]:
     spdc, sfg = _build_crystals(cfg)
     grid = _grid(cfg)
-    emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
+    emission = _crystal_spectrum(sp.emission_spectrum, "source_crystal", spdc, cfg.spdc_pump_nm, grid)
     if cfg.grid_unit_acceptance:
         acceptance = sp.Spectrum(grid, np.ones_like(grid))
     else:
-        acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
+        acceptance = _crystal_spectrum(sp.acceptance_spectrum, "converter_crystal", sfg, cfg.sfg_pump_nm, grid)
     filtered = sp.filtered_spectrum(emission, acceptance)
     return emission, acceptance, filtered, spdc, sfg
 

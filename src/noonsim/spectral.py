@@ -415,7 +415,7 @@ def emission_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray)
     if np.any(grid <= pump_nm):
         raise ValueError("signal wavelengths must exceed the pump wavelength")
     idler = 1.0 / (1.0 / pump_nm - 1.0 / grid)
-    dk = phase_mismatch(crystal, np.full_like(grid, pump_nm), grid, idler)
+    dk = phase_mismatch(crystal, pump_nm, grid, idler)
     return _shape_spectrum(grid, dk, crystal.length_mm)
 
 
@@ -429,7 +429,7 @@ def acceptance_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarra
         raise ValueError("acceptance spectrum requires an SFG crystal")
     grid = np.asarray(grid_nm, dtype=float)
     sfg = 1.0 / (1.0 / pump_nm + 1.0 / grid)
-    dk = phase_mismatch(crystal, sfg, np.full_like(grid, pump_nm), grid)
+    dk = phase_mismatch(crystal, sfg, pump_nm, grid)
     return _shape_spectrum(grid, dk, crystal.length_mm)
 
 
@@ -488,12 +488,24 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
 
     The symmetrized density is even about the grid center and omega is odd
     there, so cos(tau*omega) pairs point i with point N-1-i and the sum runs
-    over the left ceil(N/2) points only, weighted by density[i] +
+    over the left H = ceil(N/2) points only, weighted by density[i] +
     density[N-1-i] (the middle point of an odd grid once).  The transform
     is even in the delay, so one row is computed per distinct |delay|, zero
     included: a mirrored pair shares its row (g(-tau) == g(tau) bitwise) and
-    a symmetric scan costs half the cosines.  Every delay divides by the
-    zero row of the same matmul, so the kernel is exactly 1 at zero delay.
+    a symmetric scan costs half the work.  Every delay divides by the zero
+    row, so the kernel is exactly 1 at zero delay.
+
+    The grid is uniform, so omega_j = omega_0 + j*step + eps_j with eps_j
+    the grid's rounding.  Splitting j = B*b + m with B = ceil(sqrt(H)),
+    cos(tau*omega_j) = C_b (c_m - tau eps_j s_m) - S_b (s_m + tau eps_j c_m)
+    to first order in eps, with C, S the cosine and sine of
+    tau*(omega_0 + B*b*step) (rows x H/B) and c, s those of tau*m*step
+    (rows x B).  The sums over m are one matrix product of the small tables
+    with the weights and the eps-weighted weights laid out B x H/B; the sum
+    over b is elementwise.  A grid far enough from uniform for the
+    second-order term to matter, max|eps| * max|tau| > 1e-8 (one uniform
+    only to Spectrum's 1e-4 tolerance, or delays of metres), takes the
+    direct sum of one cosine per (row, point) instead.
     """
     lam, dens = spectrum.wavelength_nm, spectrum.density
     half = (lam.size + 1) // 2
@@ -504,8 +516,29 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
         weight[-1] = dens[half - 1]
     tau = np.atleast_1d(np.asarray(delays_mm, dtype=float)) / _C_MM_PER_S
     distinct, back = np.unique(np.concatenate(([0.0], np.abs(tau))), return_inverse=True)
-    phase = np.outer(distinct, omega)
-    rows = np.cos(phase, out=phase) @ weight
+
+    size = math.ceil(math.sqrt(half))
+    blocks = (half + size - 1) // size
+    step = (omega[-1] - omega[0]) / (half - 1)
+    starts = omega[0] + np.arange(0, size * blocks, size) * step
+    offsets = np.arange(size) * step
+    eps = omega - (starts[:, None] + offsets).ravel()[:half]
+    if np.max(np.abs(eps)) * distinct[-1] > 1e-8:
+        phase = np.outer(distinct, omega)
+        rows = np.cos(phase, out=phase) @ weight
+    else:
+        # Weights over eps-weighted weights, each laid out (m, b), zero padded.
+        padded = np.zeros((2, blocks * size))
+        padded[0, :half] = weight
+        padded[1, :half] = eps * weight
+        laid = padded.reshape(2, blocks, size).transpose(0, 2, 1).reshape(2 * size, blocks)
+        inner = np.outer(distinct, offsets)
+        cos_in, sin_in = np.cos(inner), np.sin(inner)
+        t = distinct[:, None]
+        tables = np.stack((np.hstack((cos_in, -t * sin_in)), np.hstack((sin_in, t * cos_in))))
+        part_cos, part_sin = tables @ laid
+        outer = np.outer(distinct, starts)
+        rows = (np.cos(outer) * part_cos - np.sin(outer) * part_sin).sum(axis=1)
     return rows[back[1:]] / rows[0]
 
 

@@ -250,6 +250,19 @@ class TestInvalidInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("noonsim: error:")
 
+    @pytest.mark.parametrize(
+        ("section", "length"), [("source_crystal", "1e200"), ("converter_crystal", "1e300"), ("source_crystal", "1e308")]
+    )
+    def test_over_long_crystal_error_names_its_section(self, tmp_path, capsys, section, length):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\nlength_mm = {length}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "spectra") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"noonsim: error: [{section}] spectrum with length_mm = {float(length):g}: ")
+
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(
         ("pattern", "line", "message"),

@@ -299,18 +299,32 @@ class TestHomProfile:
         for spec in (emission, filtered):
             assert ns.overlap_kernel(spec, [0.0])[0] == 1.0
 
-    @pytest.mark.parametrize("points", [3, 4, 1001, 1024, 4095, 4096])
-    def test_half_grid_kernel_matches_full_grid_sum(self, points):
+    @pytest.mark.parametrize(
+        ("points", "bow", "reach"),
+        [pytest.param(n, 0.0, 8.0, id=str(n)) for n in (3, 4, 1001, 1024, 4095, 4096)]
+        + [
+            # A grid bowed by a cubic of 2e-4 nm is uniform to 5e-5 of its
+            # step, as Spectrum accepts, but too far from uniform for the
+            # fast sum's first-order term: it takes the direct cosine sum.
+            pytest.param(101, 2e-4, 8.0, id="101-bowed"),
+            # A bow of 3e-11 nm keeps the fast sum, whose first-order term
+            # it needs; the delays reach the coherence envelope's far tail.
+            pytest.param(16384, 3e-11, 12.0, id="16384-reach12"),
+        ],
+    )
+    def test_half_grid_kernel_matches_full_grid_sum(self, points, bow, reach):
         # Independent oracle: the cosine sum over every grid point of the
         # symmetrized density, for an asymmetric density on odd and even grids.
+        # The bow is odd about the grid center, as the half-grid sum assumes.
         rng = np.random.default_rng(points)
         grid = np.linspace(1539.0, 1555.0, points)
+        grid += bow * ((grid - 1547.0) / 8.0) ** 3
         dens = np.exp(-(((grid - 1545.5) / 2.0) ** 2)) * (1.0 + 0.5 * rng.random(points))
         spec = ns.Spectrum(grid, dens)
-        delays = np.concatenate(([0.0], np.linspace(-8.0, 8.0, 161), rng.uniform(-3.0, 3.0, 20)))
+        delays = np.concatenate(([0.0], np.linspace(-reach, reach, 161), rng.uniform(-3.0, 3.0, 20)))
         # Exact +- pairs, duplicates, both signed zeros, in no order; then
         # the same without a zero, and a lone zero.
-        pairs = rng.uniform(0.0, 8.0, 30)
+        pairs = rng.uniform(0.0, reach, 30)
         mixed = rng.permutation(np.concatenate((pairs, -pairs, pairs[:5], -pairs[5:8], [-0.0, 0.0, -0.0])))
         lam0 = 0.5 * (grid[0] + grid[-1])
         omega = 2 * np.pi * C_NM_PER_S * (lam0 - grid) / lam0**2
@@ -362,10 +376,10 @@ class TestCoherenceLength:
         dens = np.exp(-4 * math.log(2) * (lam - lam0) ** 2 / width**2)
         omega = 2 * np.pi * C_NM_PER_S * (lam0 - lam) / lam0**2
 
+        trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz  # numpy < 2.0
+
         def g(delay_mm):
-            return np.trapezoid(dens * np.cos(omega * delay_mm / C_MM_PER_S), omega) / np.trapezoid(
-                dens, omega
-            )
+            return trapezoid(dens * np.cos(omega * delay_mm / C_MM_PER_S), omega) / trapezoid(dens, omega)
 
         lo, hi = 0.0, 3.0
         for _ in range(60):
