@@ -271,6 +271,11 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     if not 0.0 < cfg.grid_span_nm < math.inf:
         raise ConfigError(f"[grid] span_nm must be positive and finite, got {cfg.grid_span_nm}")
     half = cfg.grid_span_nm / 2.0
+    if not cfg.spdc_signal_nm - half > cfg.spdc_pump_nm:
+        raise ConfigError(
+            f"[grid] span_nm = {cfg.grid_span_nm:g} puts the shortest wavelength at {cfg.spdc_signal_nm - half:g} nm, "
+            f"which must exceed [source_crystal] pump_nm = {cfg.spdc_pump_nm:g}"
+        )
     return np.linspace(cfg.spdc_signal_nm - half, cfg.spdc_signal_nm + half, cfg.grid_points)
 
 

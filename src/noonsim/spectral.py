@@ -338,9 +338,158 @@ class Spectrum:
 
 
 def _write_csv(header: str, row_format: str, *columns: np.ndarray) -> str:
-    """``header`` plus one ``row_format`` line per row, all rows in one ``%`` operation."""
-    cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
-    return f"{header}\n" + (row_format * len(columns[0])) % cells
+    """``header`` plus one ``row_format`` line per row of ``columns``.
+
+    ``row_format`` is ``%.12g`` and ``%d`` cells joined by commas and ended
+    by a newline.  A table shorter than ``_ARRAY_CSV_ROWS`` rows is written
+    by one ``%`` operation over all its values.  A longer one is formatted
+    with numpy array arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time, into
+    the same bytes: each cell is laid out position-major, one uint8 row per
+    character position and one column per table row, a zero byte marking a
+    position that cell does not use.  One transpose and one gather of the
+    nonzero bytes then join the rows.
+    """
+    rows = len(columns[0])
+    if rows < _ARRAY_CSV_ROWS:
+        cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
+        return f"{header}\n" + (row_format * rows) % cells
+    formats = [_CELL_FORMATS[spec] for spec in row_format[:-1].split(",")]
+    text = [f"{header}\n"]
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        parts = [format_cells(column[start : start + _CSV_BLOCK_ROWS]) for format_cells, column in zip(formats, columns)]
+        table = np.full((parts[0].shape[1], sum(len(part) + 1 for part in parts)), ord(","), np.uint8)
+        end = 0
+        for part in parts:
+            table[:, end : end + len(part)] = part.T
+            end += len(part) + 1
+        table[:, -1] = ord("\n")
+        table = table.ravel()
+        text.append(np.compress(table != 0, table).tobytes().decode("ascii"))
+    return "".join(text)
+
+
+#: Shortest table ``_write_csv`` formats with array arithmetic.  Below it
+#: the fixed cost of the array passes exceeds CPython's per-value ``%``.
+_ARRAY_CSV_ROWS = 1536
+#: Rows formatted at once; bounds the formatter's scratch arrays.
+_CSV_BLOCK_ROWS = 4096
+#: 10 ** (11 - X) for the decimal exponents X = _EXP_MIN ... _EXP_MAX, each
+#: correctly rounded (parsed from its decimal string) and a normal float.
+_EXP_MIN, _EXP_MAX = -296, 308
+_SCALE = np.array([float(f"1e{11 - x}") for x in range(_EXP_MIN, _EXP_MAX + 1)])
+#: Smallest distance of a scaled value's fraction from one half that proves
+#: its rounding; see ``_g12_mantissas``.
+_TIE_MARGIN = 1e-3
+_PLACES = (10 ** np.arange(6, -1, -1, dtype=np.int32))[:, None]
+_INDEX = np.arange(12)[:, None]
+_ZERO, _POINT, _MINUS, _PLUS = (np.uint8(ord(c)) for c in "0.-+")
+#: Rows of a ``%.12g`` cell: sign, "0." and three zeros (fixed notation
+#: below 1), twelve digits each followed by a possible point, and "e", the
+#: exponent's sign and three exponent digits.
+_G12_ROWS = 34
+
+
+def _digits(q: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` lowest decimal digits of nonnegative integers ``q``, most significant first.
+
+    ``q`` is split into int32 chunks of up to seven digits; a chunk's digits
+    come from one division per place and one subtraction.  Returns a
+    (count, len(q)) uint8 array.
+    """
+    chunks = []
+    while count > 0:
+        places = min(count, 7)
+        q, low = np.divmod(q, 10**places)
+        digits = low.astype(np.int32) // _PLACES[-places:]
+        digits[1:] -= 10 * digits[:-1]
+        chunks.insert(0, digits)
+        count -= places
+    return np.concatenate(chunks).astype(np.uint8)
+
+
+def _g12_mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent X, mantissa M and whether both are proven, per value of ``x``, for ``%.12g``.
+
+    ``%.12g`` writes the twelve digits of M = round(|x| * 10**(11 - X)), M in
+    [1e11, 1e12), X = floor(log10|x|) after rounding; zero has X = M = 0.
+    The scaled value s = |x| * _SCALE[X] is computed with two roundings of
+    relative error 2**-53 each (the table entry and the product), so for
+    s < 1.01e12 it lies within 2.3e-4 of the exact |x| * 10**(11 - X).  Where
+    its fraction is more than _TIE_MARGIN from one half, s therefore rounds
+    to the exact M.  A log10 one off near a power of ten is caught by
+    requiring s >= 1e11 and M <= 1e12, and M = 1e12 carries into the next
+    exponent.  Not proven: non-finite values, |x| < 1e-296 (subnormals
+    included), near-ties and anything else those checks reject.
+    """
+    magnitude = np.abs(x)
+    zero = magnitude == 0
+    with np.errstate(divide="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+    proven = (exponent >= _EXP_MIN) & (exponent <= _EXP_MAX) | zero
+    exponent = np.where(proven & ~zero, exponent, 0.0).astype(np.int64)
+    scaled = np.where(proven, magnitude, 0.0) * _SCALE[exponent - _EXP_MIN]
+    mantissa = np.rint(scaled)
+    proven &= (np.abs(scaled - np.floor(scaled) - 0.5) > _TIE_MARGIN) & ((scaled >= 1e11) & (mantissa <= 1e12) | zero)
+    carry = mantissa == 1e12
+    mantissa[carry] = 1e11
+    return exponent + carry, mantissa.astype(np.int64), proven
+
+
+def _g12_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.12g' % v`` for each value ``v`` of ``x``, as a (_G12_ROWS, len(x)) position-major byte array.
+
+    Fixed notation for exponents -4 <= X < 12, else ``e±XX``; trailing zeros
+    of the fraction and a bare point are dropped, as ``%g`` does.
+    """
+    exponent, mantissa, proven = _g12_mantissas(np.asarray(x, dtype=float))
+    digits = _digits(mantissa, 12)
+    nonzero_from = digits != 0  # then: some digit at index i or later is nonzero
+    for i in range(10, -1, -1):
+        nonzero_from[i] |= nonzero_from[i + 1]
+    fixed = (exponent >= -4) & (exponent < 12)
+    below_one = fixed & (exponent < 0)
+    point = np.where(fixed, exponent, 0)  # index of the digit the point follows
+    magnitude = np.abs(exponent)
+    sci = ~fixed
+    cells = np.empty((_G12_ROWS, len(x)), np.uint8)
+    cells[0] = np.signbit(x) * _MINUS
+    cells[1] = below_one * _ZERO
+    cells[2] = below_one * _POINT
+    cells[3:6] = (below_one & (exponent <= -_INDEX[2:5])) * _ZERO  # "0.0", "0.00", "0.000"
+    cells[6:29:2] = (digits + _ZERO) * (nonzero_from | (_INDEX <= point))
+    cells[7:29:2] = ((_INDEX[:11] == point) & nonzero_from[1:]) * _POINT
+    cells[29] = sci * np.uint8(ord("e"))
+    cells[30] = np.where(exponent < 0, _MINUS, _PLUS) * sci
+    cells[31:] = (_digits(magnitude, 3) + _ZERO) * np.stack((sci & (magnitude >= 100), sci, sci))
+    _put_fallback(cells, "%.12g", x, proven)
+    return cells[cells.any(axis=1)]
+
+
+def _d_cells(v: np.ndarray) -> np.ndarray:
+    """``'%d' % n`` for each integer ``n`` of ``v``, laid out as ``_g12_cells`` does."""
+    v = np.asarray(v, dtype=np.int64)
+    width = max(len(str(v.max())), len(str(v.min())))
+    proven = v >= 0
+    digits = _digits(np.where(proven, v, 0), width)
+    leading = digits != 0  # then: some digit at index i or earlier is nonzero
+    leading[-1] = True
+    for i in range(1, width):
+        leading[i] |= leading[i - 1]
+    cells = (digits + _ZERO) * leading
+    _put_fallback(cells, "%d", v, proven)
+    return cells
+
+
+def _put_fallback(cells: np.ndarray, spec: str, values: np.ndarray, proven: np.ndarray) -> None:
+    """Overwrite the cells of the values not ``proven`` with their ``spec % value``, one ``%`` for all."""
+    redo = np.flatnonzero(~proven)
+    if redo.size:
+        text = (f"{spec}\n" * redo.size) % tuple(values[redo].tolist())
+        strings = np.array(text.split(), dtype=f"S{cells.shape[0]}")
+        cells[:, redo] = strings.view(np.uint8).reshape(redo.size, cells.shape[0]).T
+
+
+_CELL_FORMATS = {"%.12g": _g12_cells, "%d": _d_cells}
 
 
 #: The bytes a number written by ``_write_csv`` (or by ``repr``) may contain.

@@ -263,6 +263,17 @@ class TestInvalidInput:
         assert len(err) == 1
         assert err[0].startswith(f"noonsim: error: [{section}] spectrum with length_mm = {float(length):g}: ")
 
+    @pytest.mark.parametrize("command", ["spectra", "hom", "bunching"])
+    @pytest.mark.parametrize(("span", "shortest"), [("2000", "547"), ("1547", "773.5")])
+    def test_grid_reaching_the_pump_names_span_nm(self, tmp_path, capsys, command, span, shortest):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[grid]\nspan_nm = {span}\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"noonsim: error: [grid] span_nm = {span} puts the shortest wavelength at {shortest} nm, "
+            "which must exceed [source_crystal] pump_nm = 773.5"
+        ]
+
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(
         ("pattern", "line", "message"),

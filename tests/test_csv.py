@@ -1,4 +1,8 @@
-"""Both paths of the CSV reader agree on every table they are given.
+"""The CSV writer and reader against their per-value references.
+
+The writer formats long tables with array arithmetic; on every table, of
+either layout and on both sides of the crossover to that path, it must
+give exactly the bytes of the per-row ``row_format % row``.
 
 A table whose body holds only numbers, commas and newlines is read in one
 pass; a blank line before the header sends the same table line by line.
@@ -7,12 +11,14 @@ line number shifted by the blank line).
 """
 
 import re
+from itertools import zip_longest
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from noonsim.spectral import _read_csv
+from noonsim.spectral import _ARRAY_CSV_ROWS, _CSV_BLOCK_ROWS, _g12_mantissas, _read_csv, _write_csv
 
 # (header, column types) as Spectrum.from_csv and ScanResult.from_csv read them.
 TABLES = (
@@ -81,3 +87,72 @@ def test_clean_tables_take_the_one_pass_read(monkeypatch):
         calls.clear()
         _read_csv(text, *TABLES[1])
         assert len(calls) == (9 if per_cell else 3), text
+
+
+# (header, row format) as Spectrum.to_csv and ScanResult.to_csv write them.
+LAYOUTS = (
+    ("wavelength_nm,density", "%.12g,%.12g\n"),
+    ("param,expected,counts,sigma", "%.12g,%.12g,%d,%.12g\n"),
+)
+# Below the crossover, at it, and past one block of array formatting.
+ROW_COUNTS = (1, _ARRAY_CSV_ROWS - 1, _ARRAY_CSV_ROWS, _CSV_BLOCK_ROWS + 7)
+
+
+def layout_columns(layout, floats, counts, rows):
+    """Columns of ``rows`` rows for ``layout``, cycling through ``floats`` and ``counts``."""
+    specs = layout[1][:-1].split(",")
+    values = {"%.12g": np.array(floats, dtype=float), "%d": np.array(counts, dtype=np.int64)}
+    return [np.resize(np.roll(values[spec], k), rows) for k, spec in enumerate(specs)]
+
+
+def per_row(header, row_format, columns):
+    return f"{header}\n" + "".join(row_format % row for row in zip(*(column.tolist() for column in columns)))
+
+
+def assert_writes_per_row(layout, columns):
+    got, want = _write_csv(*layout, *columns), per_row(*layout, columns)
+    if got != want:  # name the first differing line; a diff of whole tables is slow
+        lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        number, (got_line, want_line) = next((n, pair) for n, pair in enumerate(lines, 1) if pair[0] != pair[1])
+        pytest.fail(f"{len(columns[0])} rows, line {number}: wrote {got_line!r}, per row {want_line!r}")
+
+
+def near_ties():
+    """x = (M + 1/2 + delta) * 10**(X - 11): the twelfth digit's rounding is within 4e-4 of a tie."""
+    return np.array(
+        [
+            (m + 0.5 + delta) * 10.0 ** (x - 11)
+            for x in range(-30, 31)
+            for m in (100000000000, 123456789012, 999999999999)
+            for delta in (0.0, 1e-4, -1e-4, 4e-4, -4e-4)
+        ]
+    )
+
+
+POWERS = 10.0 ** np.arange(-30, 31)
+# Values whose twelve-digit rounding carries into the next exponent.
+CARRIES = (1e12 - 0.4) * POWERS / 1e11
+# Near-ties, carries, and 10**X with its neighbours, where log10 can be one off.
+EDGES = (near_ties(), CARRIES, np.concatenate((POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf))))
+ALL_EDGES = np.concatenate((*EDGES, *(-edges for edges in EDGES))).tolist()
+
+
+# No shrinking: a table of thousands of rows makes each step slow, and an
+# unshrunk failure still names its layout, values and row count.
+@settings(max_examples=80, deadline=None, database=None, derandomize=True, phases=(Phase.explicit, Phase.generate))
+@given(
+    st.sampled_from(LAYOUTS),
+    st.lists(st.one_of(st.floats(), *(st.sampled_from(edges.tolist()) for edges in EDGES)), min_size=1, max_size=40),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    st.sampled_from(ROW_COUNTS),
+)
+@example(LAYOUTS[0], ALL_EDGES, [0], _ARRAY_CSV_ROWS)
+@example(LAYOUTS[1], ALL_EDGES, [0, 7, 10, 99], _ARRAY_CSV_ROWS)
+def test_writer_matches_per_row_format(layout, floats, counts, rows):
+    assert_writes_per_row(layout, layout_columns(layout, floats, counts, rows))
+
+
+def test_near_ties_take_the_fallback_and_carries_do_not():
+    # The carries must be written by the array path's carry, not by %.
+    assert not _g12_mantissas(near_ties())[2].any()
+    assert _g12_mantissas(CARRIES)[2].all()
