@@ -268,15 +268,18 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
+    if cfg.grid_points < 3:
+        raise ConfigError(f"[grid] points must be at least 3, got {cfg.grid_points}")
     if not 0.0 < cfg.grid_span_nm < math.inf:
         raise ConfigError(f"[grid] span_nm must be positive and finite, got {cfg.grid_span_nm}")
     half = cfg.grid_span_nm / 2.0
-    if not cfg.spdc_signal_nm - half > cfg.spdc_pump_nm:
+    shortest = cfg.spdc_signal_nm - half
+    if not shortest > cfg.spdc_pump_nm:
         raise ConfigError(
-            f"[grid] span_nm = {cfg.grid_span_nm:g} puts the shortest wavelength at {cfg.spdc_signal_nm - half:g} nm, "
+            f"[grid] span_nm = {cfg.grid_span_nm:g} puts the shortest wavelength at {shortest:g} nm, "
             f"which must exceed [source_crystal] pump_nm = {cfg.spdc_pump_nm:g}"
         )
-    return np.linspace(cfg.spdc_signal_nm - half, cfg.spdc_signal_nm + half, cfg.grid_points)
+    return np.linspace(shortest, cfg.spdc_signal_nm + half, cfg.grid_points)
 
 
 def _crystal_spectrum(build, section: str, crystal: sp.CrystalSpec, pump_nm: float, grid: np.ndarray) -> sp.Spectrum:

@@ -264,15 +264,23 @@ class TestInvalidInput:
         assert err[0].startswith(f"noonsim: error: [{section}] spectrum with length_mm = {float(length):g}: ")
 
     @pytest.mark.parametrize("command", ["spectra", "hom", "bunching"])
-    @pytest.mark.parametrize(("span", "shortest"), [("2000", "547"), ("1547", "773.5")])
-    def test_grid_reaching_the_pump_names_span_nm(self, tmp_path, capsys, command, span, shortest):
+    @pytest.mark.parametrize(
+        ("grid", "message"),
+        [
+            ("span_nm = 2000", "span_nm = 2000 puts the shortest wavelength at 547 nm, which must exceed"),
+            ("span_nm = 1547", "span_nm = 1547 puts the shortest wavelength at 773.5 nm, which must exceed"),
+            ("points = 2", "points must be at least 3, got 2"),
+            ("points = 0\nunit_acceptance = true", "points must be at least 3, got 0"),
+        ],
+    )
+    def test_grid_error_names_its_key(self, tmp_path, capsys, command, grid, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[grid]\nspan_nm = {span}\n")
+        cfg.write_text(f"[grid]\n{grid}\n")
         assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"noonsim: error: [grid] span_nm = {span} puts the shortest wavelength at {shortest} nm, "
-            "which must exceed [source_crystal] pump_nm = 773.5"
-        ]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"noonsim: error: [grid] {message}"), err
+        if "span_nm" in grid:
+            assert err[0].endswith(" [source_crystal] pump_nm = 773.5")
 
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(
