@@ -340,20 +340,21 @@ class Spectrum:
 def _write_csv(header: str, row_format: str, *columns: np.ndarray) -> str:
     """``header`` plus one ``row_format`` line per row of ``columns``.
 
-    ``row_format`` is ``%.12g`` and ``%d`` cells joined by commas and ended
-    by a newline.  A table shorter than ``_ARRAY_CSV_ROWS`` rows is written
-    by one ``%`` operation over all its values.  A longer one is formatted
-    with numpy array arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time, into
-    the same bytes: each cell is laid out position-major, one uint8 row per
-    character position and one column per table row, a zero byte marking a
-    position that cell does not use.  One transpose and one gather of the
-    nonzero bytes then join the rows.
+    A table shorter than ``_ARRAY_CSV_ROWS`` rows, or one whose
+    ``row_format`` is not ``%.12g`` and ``%d`` cells joined by commas and
+    ended by a newline, is written by one ``%`` operation over all its
+    values.  Any other table is formatted with numpy array arithmetic,
+    ``_CSV_BLOCK_ROWS`` rows at a time, into the same bytes: each cell is
+    laid out position-major, one uint8 row per character position and one
+    column per table row, a zero byte marking a position that cell does not
+    use.  One transpose and one gather of the nonzero bytes then join the
+    rows.
     """
     rows = len(columns[0])
-    if rows < _ARRAY_CSV_ROWS:
+    formats = [_CELL_FORMATS.get(spec) for spec in row_format[:-1].split(",")]
+    if rows < _ARRAY_CSV_ROWS or None in formats or not row_format.endswith("\n"):
         cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
         return f"{header}\n" + (row_format * rows) % cells
-    formats = [_CELL_FORMATS[spec] for spec in row_format[:-1].split(",")]
     text = [f"{header}\n"]
     for start in range(0, rows, _CSV_BLOCK_ROWS):
         parts = [format_cells(column[start : start + _CSV_BLOCK_ROWS]) for format_cells, column in zip(formats, columns)]
@@ -370,7 +371,7 @@ def _write_csv(header: str, row_format: str, *columns: np.ndarray) -> str:
 
 #: Shortest table ``_write_csv`` formats with array arithmetic.  The array
 #: passes' fixed cost makes them slower than CPython's per-value ``%`` up to
-#: about 1500 rows and 10-13 % faster at 2048; their first use in a process
+#: about 1500 rows and 8-14 % faster at 2048; their first use in a process
 #: also pages in about 0.6 MB of numpy code, not worth a smaller saving.
 _ARRAY_CSV_ROWS = 2048
 #: Rows formatted at once; bounds the formatter's scratch arrays.

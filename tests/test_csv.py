@@ -146,8 +146,8 @@ ALL_EDGES = np.concatenate((*EDGES, *(-edges for edges in EDGES))).tolist()
     st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
     st.sampled_from(ROW_COUNTS),
 )
-@example(LAYOUTS[0], ALL_EDGES, [0], _ARRAY_CSV_ROWS)
-@example(LAYOUTS[1], ALL_EDGES, [0, 7, 10, 99], _ARRAY_CSV_ROWS)
+@example(LAYOUTS[0], ALL_EDGES, [0], _CSV_BLOCK_ROWS + 7)
+@example(LAYOUTS[1], ALL_EDGES, [0, 7, 10, 99], _CSV_BLOCK_ROWS + 7)
 def test_writer_matches_per_row_format(layout, floats, counts, rows):
     assert_writes_per_row(layout, layout_columns(layout, floats, counts, rows))
 
@@ -156,3 +156,9 @@ def test_near_ties_take_the_fallback_and_carries_do_not():
     # The carries must be written by the array path's carry, not by %.
     assert not _g12_mantissas(near_ties())[2].any()
     assert _g12_mantissas(CARRIES)[2].all()
+
+
+def test_other_row_formats_take_the_percent_operation():
+    floats, counts = np.linspace(-3.0, 3.0, _ARRAY_CSV_ROWS + 1), np.arange(_ARRAY_CSV_ROWS + 1)
+    for row_format in ("%.11g,%d\n", "%.12g;%d\n", "%.12g,%d,", "%.12g,%x\n"):
+        assert_writes_per_row(("a,b", row_format), [floats, counts])
