@@ -117,23 +117,20 @@ def assert_writes_per_row(layout, columns):
         pytest.fail(f"{len(columns[0])} rows, line {number}: wrote {got_line!r}, per row {want_line!r}")
 
 
-def near_ties():
-    """x = (M + 1/2 + delta) * 10**(X - 11): the twelfth digit's rounding is within 4e-4 of a tie."""
-    return np.array(
-        [
-            (m + 0.5 + delta) * 10.0 ** (x - 11)
-            for x in range(-30, 31)
-            for m in (100000000000, 123456789012, 999999999999)
-            for delta in (0.0, 1e-4, -1e-4, 4e-4, -4e-4)
-        ]
-    )
-
-
+# x = (M + 1/2 + delta) * 10**(X - 11): the twelfth digit's rounding is within 4e-4 of a tie.
+NEAR_TIES = np.array(
+    [
+        (m + 0.5 + delta) * 10.0 ** (x - 11)
+        for x in range(-30, 31)
+        for m in (100000000000, 123456789012, 999999999999)
+        for delta in (0.0, 1e-4, -1e-4, 4e-4, -4e-4)
+    ]
+)
 POWERS = 10.0 ** np.arange(-30, 31)
 # Values whose twelve-digit rounding carries into the next exponent.
 CARRIES = (1e12 - 0.4) * POWERS / 1e11
 # Near-ties, carries, and 10**X with its neighbours, where log10 can be one off.
-EDGES = (near_ties(), CARRIES, np.concatenate((POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf))))
+EDGES = (NEAR_TIES, CARRIES, np.concatenate((POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf))))
 ALL_EDGES = np.concatenate((*EDGES, *(-edges for edges in EDGES))).tolist()
 
 
@@ -154,11 +151,11 @@ def test_writer_matches_per_row_format(layout, floats, counts, rows):
 
 def test_near_ties_take_the_fallback_and_carries_do_not():
     # The carries must be written by the array path's carry, not by %.
-    assert not _g12_mantissas(near_ties())[2].any()
+    assert not _g12_mantissas(NEAR_TIES)[2].any()
     assert _g12_mantissas(CARRIES)[2].all()
 
 
-def test_other_row_formats_take_the_percent_operation():
+def test_other_row_formats_match_per_row_format():
     floats, counts = np.linspace(-3.0, 3.0, _ARRAY_CSV_ROWS + 1), np.arange(_ARRAY_CSV_ROWS + 1)
     for row_format in ("%.11g,%d\n", "%.12g;%d\n", "%.12g,%d,", "%.12g,%x\n"):
         assert_writes_per_row(("a,b", row_format), [floats, counts])
