@@ -12,6 +12,7 @@ import configparser
 import math
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -247,7 +248,8 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
         dispersion=dispersion,
     )
     if cfg.spdc_poling_um is None:
-        spdc = sp.with_solved_poling(spdc, (cfg.spdc_pump_nm, cfg.spdc_signal_nm, idler_nm))
+        with _naming(f"[source_crystal] pump_nm = {cfg.spdc_pump_nm:g}, signal_nm = {cfg.spdc_signal_nm:g}"):
+            spdc = sp.with_solved_poling(spdc, (cfg.spdc_pump_nm, cfg.spdc_signal_nm, idler_nm))
 
     sfg_nm = 1.0 / (1.0 / cfg.sfg_pump_nm + 1.0 / cfg.sfg_signal_nm)
     sfg = sp.CrystalSpec(
@@ -263,7 +265,8 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
         dispersion=dispersion,
     )
     if cfg.sfg_poling_um is None:
-        sfg = sp.with_solved_poling(sfg, (sfg_nm, cfg.sfg_pump_nm, cfg.sfg_signal_nm))
+        with _naming(f"[converter_crystal] pump_nm = {cfg.sfg_pump_nm:g}, signal_nm = {cfg.sfg_signal_nm:g}"):
+            sfg = sp.with_solved_poling(sfg, (sfg_nm, cfg.sfg_pump_nm, cfg.sfg_signal_nm))
     return spdc, sfg
 
 
@@ -282,26 +285,28 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(shortest, cfg.spdc_signal_nm + half, cfg.grid_points)
 
 
-def _crystal_spectrum(build, section: str, crystal: sp.CrystalSpec, pump_nm: float, grid: np.ndarray) -> sp.Spectrum:
-    """``build(crystal, pump_nm, grid)`` with its error naming the crystal's section and length.
+@contextmanager
+def _naming(prefix: str):
+    """Prefix an error raised in the block with ``prefix``, which names the config key at fault.
 
-    A crystal too long for its sinc^2 fails only here, with a message about
-    the density that would not say which crystal it was.
+    The spectral code's messages do not say which crystal or grid key they came from.
     """
     try:
-        return build(crystal, pump_nm, grid)
+        yield
     except (sp.SpectralError, ValueError) as exc:
-        raise ConfigError(f"[{section}] spectrum with length_mm = {crystal.length_mm:g}: {exc}") from exc
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.CrystalSpec, sp.CrystalSpec]:
     spdc, sfg = _build_crystals(cfg)
     grid = _grid(cfg)
-    emission = _crystal_spectrum(sp.emission_spectrum, "source_crystal", spdc, cfg.spdc_pump_nm, grid)
+    with _naming(f"[source_crystal] spectrum with length_mm = {spdc.length_mm:g}"):
+        emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
     if cfg.grid_unit_acceptance:
         acceptance = sp.Spectrum(grid, np.ones_like(grid))
     else:
-        acceptance = _crystal_spectrum(sp.acceptance_spectrum, "converter_crystal", sfg, cfg.sfg_pump_nm, grid)
+        with _naming(f"[converter_crystal] spectrum with length_mm = {sfg.length_mm:g}"):
+            acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
     filtered = sp.filtered_spectrum(emission, acceptance)
     return emission, acceptance, filtered, spdc, sfg
 
@@ -345,14 +350,18 @@ def read_summary(text: str) -> dict[str, str]:
 
 def cmd_spectra(cfg: RunConfig, out_dir: Path) -> int:
     emission, acceptance, filtered, spdc, sfg = _spectra(cfg)
-    _write(out_dir, "emission.csv", emission.to_csv())
-    _write(out_dir, "acceptance.csv", acceptance.to_csv())
-    _write(out_dir, "filtered.csv", filtered.to_csv())
+    for name, spectrum in (("emission", emission), ("acceptance", acceptance), ("filtered", filtered)):
+        _write(out_dir, f"{name}.csv", spectrum.to_csv())
+
+    def fwhm(name: str, spectrum: sp.Spectrum) -> float:
+        with _naming(f"[grid] span_nm = {cfg.grid_span_nm:g}, FWHM of the {name} spectrum"):
+            return sp.fwhm(spectrum)
+
     summary = _summary(
         [
-            ("emission_fwhm_nm", sp.fwhm(emission)),
-            ("acceptance_fwhm_nm", sp.fwhm(acceptance) if not cfg.grid_unit_acceptance else float("nan")),
-            ("filtered_fwhm_nm", sp.fwhm(filtered)),
+            ("emission_fwhm_nm", fwhm("emission", emission)),
+            ("acceptance_fwhm_nm", fwhm("acceptance", acceptance) if not cfg.grid_unit_acceptance else float("nan")),
+            ("filtered_fwhm_nm", fwhm("filtered", filtered)),
             ("emission_clipped", emission.clipped),
             ("acceptance_clipped", acceptance.clipped),
             ("filtered_clipped", filtered.clipped),

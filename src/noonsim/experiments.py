@@ -195,8 +195,7 @@ class ScanResult:
 
     def to_csv(self) -> str:
         sigma = np.sqrt(np.maximum(self.counts, 1.0))
-        header, row_format = "param,expected,counts,sigma", "%.12g,%.12g,%d,%.12g\n"
-        return _write_csv(header, row_format, self.param, self.expected, self.counts, sigma)
+        return _write_csv("param,expected,counts,sigma", self.param, self.expected, self.counts, sigma)
 
     @classmethod
     def from_csv(cls, text: str) -> "ScanResult":

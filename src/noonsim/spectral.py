@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Sequence, Union
@@ -329,7 +330,7 @@ class Spectrum:
         return Spectrum(self.wavelength_nm, self.density / peak, self.clipped)
 
     def to_csv(self) -> str:
-        return _write_csv("wavelength_nm,density", "%.12g,%.12g\n", self.wavelength_nm, self.density)
+        return _write_csv("wavelength_nm,density", self.wavelength_nm, self.density)
 
     @classmethod
     def from_csv(cls, text: str) -> "Spectrum":
@@ -337,24 +338,24 @@ class Spectrum:
         return cls(*_read_csv(text, "wavelength_nm,density", (float, float)))
 
 
-def _write_csv(header: str, row_format: str, *columns: np.ndarray) -> str:
-    """``header`` plus one ``row_format`` line per row of ``columns``.
+def _write_csv(header: str, *columns: np.ndarray) -> str:
+    """``header`` plus one line per row of ``columns``, integer columns as ``%d``, the others as ``%.12g``.
 
-    A table shorter than ``_ARRAY_CSV_ROWS`` rows, or one whose
-    ``row_format`` is not ``%.12g`` and ``%d`` cells joined by commas and
-    ended by a newline, is written by one ``%`` operation over all its
-    values.  Any other table is formatted with numpy array arithmetic,
-    ``_CSV_BLOCK_ROWS`` rows at a time, into the same bytes: each cell is
-    laid out position-major, one uint8 row per character position and one
-    column per table row, a zero byte marking a position that cell does not
-    use.  One transpose and one gather of the nonzero bytes then join the
-    rows.
+    A table shorter than ``_ARRAY_CSV_ROWS`` rows is written by one ``%``
+    operation over all its values.  A longer one is formatted with numpy
+    array arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time, into the same
+    bytes: each cell is laid out position-major, one uint8 row per character
+    position and one column per table row, a zero byte marking a position
+    that cell does not use.  One transpose and one gather of the nonzero
+    bytes then join the rows.
     """
     rows = len(columns[0])
-    formats = [_CELL_FORMATS.get(spec) for spec in row_format[:-1].split(",")]
-    if rows < _ARRAY_CSV_ROWS or None in formats or not row_format.endswith("\n"):
+    integer = [np.issubdtype(column.dtype, np.integer) for column in columns]
+    if rows < _ARRAY_CSV_ROWS:
+        row_format = ",".join("%d" if i else "%.12g" for i in integer) + "\n"
         cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
         return f"{header}\n" + (row_format * rows) % cells
+    formats = [_d_cells if i else _g12_cells for i in integer]
     text = [f"{header}\n"]
     for start in range(0, rows, _CSV_BLOCK_ROWS):
         parts = [format_cells(column[start : start + _CSV_BLOCK_ROWS]) for format_cells, column in zip(formats, columns)]
@@ -492,48 +493,37 @@ def _put_fallback(cells: np.ndarray, spec: str, values: np.ndarray, proven: np.n
         cells[:, redo] = strings.view(np.uint8).reshape(redo.size, cells.shape[0]).T
 
 
-_CELL_FORMATS = {"%.12g": _g12_cells, "%d": _d_cells}
-
-
-#: The bytes a number written by ``_write_csv`` (or by ``repr``) may contain.
-_NUMBER_BYTES = b"0123456789.+-eE"
-
-
 def _read_csv(text: str, header: str, types: Sequence[type]) -> list[np.ndarray]:
     """The first ``len(types)`` columns of a CSV whose header starts like ``header``.
 
-    Blank lines are skipped and extra trailing columns ignored.  The common
-    case is checked in one pass over the bytes after the first line: with
-    the bytes ``0-9 . + - e E`` deleted, what is left must be one row of
-    header-width commas and a newline per data line (the last newline may
-    be missing).  Then the body is split once and each column parsed in one
-    numpy call.  Anything else (blank lines, CRLF, spaces, ``nan``, a
-    ragged row, an unparsable cell) is read line by line, where a short row
-    or an unparsable cell raises ValueError naming its 1-based line.
+    Blank lines are skipped and extra trailing columns ignored.  Cells are
+    plain ASCII numbers as ``float`` and ``int`` spell them, without ``_``.
+    One ``np.loadtxt`` call parses them; only a failed parse is redone line by
+    line, to name the first bad line by its 1-based number in a ValueError.
     """
     names = header.split(",")[: len(types)]
-    first, _, body = text.partition("\n")
-    width = first.count(",") + 1
-    if first.isprintable() and first.split(",")[: len(types)] == names and body.isascii():
-        count = body.count("\n") + (body[-1:] not in ("", "\n"))
-        skeleton = (b"," * (width - 1) + b"\n") * count
-        if body.encode().translate(None, _NUMBER_BYTES) in (skeleton, skeleton[:-1]):
-            cells = body.replace("\n", ",").split(",")
-            try:
-                return [np.array(cells[j : count * width : width], dtype=t) for j, t in enumerate(types)]
-            except (ValueError, OverflowError):
-                pass  # an unparsable cell: find its line below
-    numbered = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not numbered or numbered[0][1].split(",")[: len(types)] != names:
+    nonblank = list(filter(str.strip, text.splitlines()))
+    if not nonblank or nonblank[0].split(",")[: len(types)] != names:
         raise ValueError(f"expected a {header!r} header")
-    rows = []
-    for number, line in numbered[1:]:
-        cells = line.split(",")
+    dtype = list(zip(names, types))
+    table = _load_rows(nonblank[1:], dtype)
+    if table is None:
+        numbered = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+        number, line = next((number, line) for number, line in numbered[1:] if _load_rows([line], dtype) is None)
+        raise ValueError(f"line {number}: cannot read {len(types)} values from {line!r}")
+    return [table[name] for name in names]
+
+
+def _load_rows(lines: list[str], dtype: list[tuple[str, type]]) -> np.ndarray | None:
+    """``lines`` as a structured array of ``dtype``, one field per leading cell, or None if one is rejected."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy < 2 reads an integer through a float such as "3.0" with only this warning.
+        warnings.filterwarnings("error", category=DeprecationWarning)
         try:
-            rows.append([np.array(cells[j], dtype=t) for j, t in enumerate(types)])
-        except (IndexError, ValueError, OverflowError):
-            raise ValueError(f"line {number}: cannot read {len(types)} values from {line!r}") from None
-    return [np.array([row[j] for row in rows], dtype=t) for j, t in enumerate(types)]
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=range(len(dtype)), comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
 
 
 def _peak_normalized(grid_nm: np.ndarray, density: np.ndarray) -> Spectrum:

@@ -271,16 +271,44 @@ class TestInvalidInput:
             ("span_nm = 1547", "span_nm = 1547 puts the shortest wavelength at 773.5 nm, which must exceed"),
             ("points = 2", "points must be at least 3, got 2"),
             ("points = 0\nunit_acceptance = true", "points must be at least 3, got 0"),
+            # Only spectra reports FWHMs; hom and bunching run on the clipped spectra.
+            ("span_nm = 0.5", "span_nm = 0.5, FWHM of the emission spectrum: half height not crossed on the left side"),
         ],
     )
     def test_grid_error_names_its_key(self, tmp_path, capsys, command, grid, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[grid]\n{grid}\n")
-        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 1
+        status = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command)
         err = capsys.readouterr().err.splitlines()
+        if "FWHM" in message and command != "spectra":
+            assert status == 0 and not err
+            return
+        assert status == 1
         assert len(err) == 1 and err[0].startswith(f"noonsim: error: [grid] {message}"), err
-        if "span_nm" in grid:
+        if "must exceed" in message:
             assert err[0].endswith(" [source_crystal] pump_nm = 773.5")
+
+    @pytest.mark.parametrize("command", ["spectra", "hom", "bunching"])
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            (
+                "[source_crystal]\nsignal_nm = 5000",
+                "[source_crystal] pump_nm = 773.5, signal_nm = 5000: "
+                "wavelength outside validity window [400, 3400] nm of 'ny'",
+            ),
+            (
+                "[converter_crystal]\npump_nm = 300",
+                "[converter_crystal] pump_nm = 300, signal_nm = 1547: "
+                "wavelength outside validity window [350, 4500] nm of 'nz'",
+            ),
+        ],
+    )
+    def test_poling_solve_error_names_its_section(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 1
+        assert capsys.readouterr().err == f"noonsim: error: {message}\n"
 
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(
@@ -293,9 +321,18 @@ class TestInvalidInput:
                 "lambda_max_um = inf",
                 "section 'ny' has non-finite values for ['lambda_max_um']",
             ),
-            (r"(?m)^a = .*$", "a = -50", "n^2 of 'ny' is not positive and finite at 773.5 nm"),
+            # The poling solve is the first to evaluate n^2; its error names the crystal.
+            (
+                r"(?m)^a = .*$",
+                "a = -50",
+                "[source_crystal] pump_nm = 773.5, signal_nm = 1547: n^2 of 'ny' is not positive and finite at 773.5 nm",
+            ),
             # A pole of the c1 term exactly at the signal wavelength.
-            (r"(?m)^c1 = .*$", "c1 = 2.393209", "n^2 of 'ny' is not positive and finite at 1547 nm"),
+            (
+                r"(?m)^c1 = .*$",
+                "c1 = 2.393209",
+                "[source_crystal] pump_nm = 773.5, signal_nm = 1547: n^2 of 'ny' is not positive and finite at 1547 nm",
+            ),
         ],
     )
     def test_bad_sellmeier_file_is_one_error_line(self, tmp_path, capsys, pattern, line, message, noiseless):
