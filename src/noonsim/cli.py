@@ -1,8 +1,10 @@
 """Command-line front end wiring crystals, spectra, circuits, and scans.
 
 Subcommands: ``spectra``, ``hom``, ``bunching``, ``fringe``, ``budget``.
-All outputs are plain CSV / ``key = value`` text and are byte-identical
-across reruns with the same config and seed.
+Each returns its output files as a name -> text mapping, and ``main``
+writes them only after the command has returned, so a failed run writes
+nothing.  All outputs are plain CSV / ``key = value`` text and are
+byte-identical across reruns with the same config and seed.
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ def _naming(prefix: str):
     """
     try:
         yield
-    except (sp.SpectralError, ValueError) as exc:
+    except (sp.SpectralError, xp.FitError, ValueError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
 
 
@@ -309,13 +311,6 @@ def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.
             acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
     filtered = sp.filtered_spectrum(emission, acceptance)
     return emission, acceptance, filtered, spdc, sfg
-
-
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    return path
 
 
 def _summary(pairs: list[tuple[str, object]]) -> str:
@@ -348,10 +343,8 @@ def read_summary(text: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectra(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_spectra(cfg: RunConfig) -> dict[str, str]:
     emission, acceptance, filtered, spdc, sfg = _spectra(cfg)
-    for name, spectrum in (("emission", emission), ("acceptance", acceptance), ("filtered", filtered)):
-        _write(out_dir, f"{name}.csv", spectrum.to_csv())
 
     def fwhm(name: str, spectrum: sp.Spectrum) -> float:
         with _naming(f"[grid] span_nm = {cfg.grid_span_nm:g}, FWHM of the {name} spectrum"):
@@ -369,11 +362,15 @@ def cmd_spectra(cfg: RunConfig, out_dir: Path) -> int:
             ("sfg_poling_period_um", sfg.poling_period_um),
         ]
     )
-    _write(out_dir, "spectra_summary.txt", summary)
-    return 0
+    return {
+        "emission.csv": emission.to_csv(),
+        "acceptance.csv": acceptance.to_csv(),
+        "filtered.csv": filtered.to_csv(),
+        "spectra_summary.txt": summary,
+    }
 
 
-def cmd_hom(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_hom(cfg: RunConfig) -> dict[str, str]:
     emission, _, filtered, _, _ = _spectra(cfg)
     delays = np.linspace(cfg.hom_delay_min_mm, cfg.hom_delay_max_mm, cfg.hom_delay_points)
     source = xp.hom_scan(
@@ -389,21 +386,20 @@ def cmd_hom(cfg: RunConfig, out_dir: Path) -> int:
         cfg.seed + 1,
         cfg.noiseless,
     )
-    _write(out_dir, "hom_source.csv", source.to_csv())
-    _write(out_dir, "hom_upconverted.csv", upconverted.to_csv())
+    with _naming(f"[hom] rate_hz = {cfg.hom_rate_hz:g}, t_bin_s = {cfg.hom_t_bin_s:g}"):
+        vis_source, vis_upconverted = xp.dip_visibility(source), xp.dip_visibility(upconverted)
     summary = _summary(
         [
             ("gamma_source", cfg.hom_gamma),
             ("gamma_upconverted", cfg.hom_gamma_upconverted),
-            ("visibility_source", xp.dip_visibility(source)),
-            ("visibility_upconverted", xp.dip_visibility(upconverted)),
+            ("visibility_source", vis_source),
+            ("visibility_upconverted", vis_upconverted),
         ]
     )
-    _write(out_dir, "hom_summary.txt", summary)
-    return 0
+    return {"hom_source.csv": source.to_csv(), "hom_upconverted.csv": upconverted.to_csv(), "hom_summary.txt": summary}
 
 
-def cmd_bunching(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_bunching(cfg: RunConfig) -> dict[str, str]:
     emission, _, _, _, _ = _spectra(cfg)
     delays = np.linspace(cfg.bunching_delay_min_mm, cfg.bunching_delay_max_mm, cfg.bunching_delay_points)
     scan = xp.bunching_scan(
@@ -415,18 +411,13 @@ def cmd_bunching(cfg: RunConfig, out_dir: Path) -> int:
         spectrum=emission,
         noiseless=cfg.noiseless,
     )
-    _write(out_dir, "bunching.csv", scan.to_csv())
-    summary = _summary(
-        [
-            ("gamma", cfg.bunching_gamma),
-            ("peak_to_baseline_ratio", xp.peak_to_baseline_ratio(scan)),
-        ]
-    )
-    _write(out_dir, "bunching_summary.txt", summary)
-    return 0
+    with _naming(f"[bunching] rate_hz = {cfg.bunching_rate_hz:g}, t_bin_s = {cfg.bunching_t_bin_s:g}"):
+        ratio = xp.peak_to_baseline_ratio(scan)
+    summary = _summary([("gamma", cfg.bunching_gamma), ("peak_to_baseline_ratio", ratio)])
+    return {"bunching.csv": scan.to_csv(), "bunching_summary.txt": summary}
 
 
-def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
     if cfg.fringe_axis == "phase":
         axis = np.linspace(cfg.fringe_phase_min_rad, cfg.fringe_phase_max_rad, cfg.fringe_points)
         phases = axis
@@ -446,14 +437,15 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     else:
         raise ConfigError(f"fringe axis must be 'phase' or 'plate', got {cfg.fringe_axis!r}")
 
+    files = {}
     reports = {}
     for n, vis, seed_shift in ((1, cfg.fringe_visibility_n1, 0), (2, cfg.fringe_visibility_n2, 1)):
         scan = xp.noon_fringe(
             n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
         )
-        reports[n] = xp.fit_visibility(scan, n)
-        scan = replace(scan, param=axis)
-        _write(out_dir, f"fringe_n{n}.csv", scan.to_csv())
+        with _naming(f"[fringe] visibility_n{n} = {vis:g}"):
+            reports[n] = xp.fit_visibility(scan, n)
+        files[f"fringe_n{n}.csv"] = replace(scan, param=axis).to_csv()
 
     ratio = reports[2].frequency / reports[1].frequency
     verdict = xp.sql_verdict(reports[2].visibility, reports[2].visibility_sigma, 2)
@@ -477,15 +469,13 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     pairs.append(("beats_sql", verdict.beats_sql))
     pairs.append(("sql_margin_sigma", verdict.margin_sigma))
     pairs.append(("sql_verdict", verdict.verdict_line()))
-    _write(out_dir, "fringe_summary.txt", _summary(pairs))
-    return 0
+    return files | {"fringe_summary.txt": _summary(pairs)}
 
 
-def cmd_budget(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_budget(cfg: RunConfig) -> dict[str, str]:
     chain = xp.EfficiencyChain(cfg.budget_stages)
     report = xp.efficiency_budget(chain, cfg.budget_quoted_overall)
-    _write(out_dir, "budget.txt", "\n".join(report.report_lines()) + "\n")
-    return 0
+    return {"budget.txt": "\n".join(report.report_lines()) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +517,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad value for --seed: {exc}") from exc
         if args.noiseless:
             cfg.noiseless = True
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        files = _COMMANDS[args.command](cfg)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+        return 0
     except (ConfigError, sp.SpectralError, xp.FitError, ValueError, OSError, MemoryError) as exc:
         print(f"noonsim: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

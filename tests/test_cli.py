@@ -369,12 +369,40 @@ class TestInvalidInput:
         [(MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"), (MemoryError(), "out of memory")],
     )
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, exc, message):
-        def cmd(cfg, out_dir):
+        def cmd(cfg):
             raise exc
 
         monkeypatch.setitem(_COMMANDS, "spectra", cmd)
         assert run_cli("--out", str(tmp_path / "o"), "spectra") == 1
         assert capsys.readouterr().err == f"noonsim: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("config", "args", "message"),
+        [
+            ("[grid]\nspan_nm = 0.5", ["spectra"], "[grid] span_nm = 0.5, FWHM of the emission spectrum: "),
+            ("[hom]\nrate_hz = 1e-9", ["hom"], "[hom] rate_hz = 1e-09, t_bin_s = 1: baseline is not positive"),
+            (
+                "[bunching]\nrate_hz = 1e-9",
+                ["bunching"],
+                "[bunching] rate_hz = 1e-09, t_bin_s = 1: baseline is not positive",
+            ),
+            (
+                "[fringe]\nvisibility_n2 = 0.0",
+                ["--noiseless", "fringe"],
+                "[fringe] visibility_n2 = 0: scan shows no fringe",
+            ),
+        ],
+        ids=["spectra", "hom", "bunching", "fringe"],
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, config, args, message):
+        # Each run fails after some of its outputs are computed.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}\n")
+        out = tmp_path / "o"
+        assert run_cli("--config", str(cfg), "--out", str(out), *args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"noonsim: error: {message}"), err
+        assert not out.exists()
 
     def test_zero_stage_budget_reports_infinite_ratio(self, tmp_path):
         cfg = tmp_path / "run.cfg"
