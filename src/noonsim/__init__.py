@@ -59,7 +59,6 @@ from .experiments import (
     EfficiencyChain,
     FitError,
     FitReport,
-    MetrologyLimits,
     ScanResult,
     SqlVerdict,
     bunching_scan,
@@ -67,13 +66,11 @@ from .experiments import (
     efficiency_budget,
     fit_visibility,
     hom_scan,
-    metrology_limits,
     noon_fringe,
     noon_fringe_probabilities,
     peak_to_baseline_ratio,
     plate_phase,
     poisson_counts,
-    poisson_sample,
     sql_verdict,
 )
 

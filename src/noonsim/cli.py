@@ -222,54 +222,39 @@ def _coerce(raw: str, hint: object) -> object:
 # ---------------------------------------------------------------------------
 
 
+#: Config section, process and crystal type of each crystal, the source first.
+_CRYSTALS = (("source_crystal", "spdc", "type-II"), ("converter_crystal", "sfg", "type-I"))
+
+
 def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
     """SPDC and SFG crystals with poling solved unless pinned in config."""
-    if not 0.0 < cfg.spdc_pump_nm < cfg.spdc_signal_nm:
-        raise ConfigError(
-            "[source_crystal] needs 0 < pump_nm < signal_nm, "
-            f"got pump_nm = {cfg.spdc_pump_nm}, signal_nm = {cfg.spdc_signal_nm}"
-        )
-    if not (cfg.sfg_pump_nm > 0.0 and cfg.sfg_signal_nm > 0.0):
-        raise ConfigError(
-            "[converter_crystal] pump_nm and signal_nm must be positive, "
-            f"got pump_nm = {cfg.sfg_pump_nm}, signal_nm = {cfg.sfg_signal_nm}"
-        )
     dispersion = sp.load_sellmeier(cfg.sellmeier_file)
-
-    idler_nm = 1.0 / (1.0 / cfg.spdc_pump_nm - 1.0 / cfg.spdc_signal_nm)
-    spdc = sp.CrystalSpec(
-        length_mm=cfg.spdc_length_mm,
-        poling_period_um=1.0 if cfg.spdc_poling_um is None else cfg.spdc_poling_um,
-        process="spdc",
-        crystal_type="type-II",
-        axes={
-            "pump": cfg.spdc_pump_axis,
-            "signal": cfg.spdc_signal_axis,
-            "idler": cfg.spdc_idler_axis,
-        },
-        dispersion=dispersion,
-    )
-    if cfg.spdc_poling_um is None:
-        with _naming(f"[source_crystal] pump_nm = {cfg.spdc_pump_nm:g}, signal_nm = {cfg.spdc_signal_nm:g}"):
-            spdc = sp.with_solved_poling(spdc, (cfg.spdc_pump_nm, cfg.spdc_signal_nm, idler_nm))
-
-    sfg_nm = 1.0 / (1.0 / cfg.sfg_pump_nm + 1.0 / cfg.sfg_signal_nm)
-    sfg = sp.CrystalSpec(
-        length_mm=cfg.sfg_length_mm,
-        poling_period_um=1.0 if cfg.sfg_poling_um is None else cfg.sfg_poling_um,
-        process="sfg",
-        crystal_type="type-I",
-        axes={
-            "sfg": cfg.sfg_sfg_axis,
-            "pump": cfg.sfg_pump_axis,
-            "signal": cfg.sfg_signal_axis,
-        },
-        dispersion=dispersion,
-    )
-    if cfg.sfg_poling_um is None:
-        with _naming(f"[converter_crystal] pump_nm = {cfg.sfg_pump_nm:g}, signal_nm = {cfg.sfg_signal_nm:g}"):
-            sfg = sp.with_solved_poling(sfg, (sfg_nm, cfg.sfg_pump_nm, cfg.sfg_signal_nm))
-    return spdc, sfg
+    crystals = []
+    for section, process, crystal_type in _CRYSTALS:
+        prefix = _SECTIONS[section]
+        pump_nm, signal_nm, poling_um = (getattr(cfg, prefix + key) for key in ("pump_nm", "signal_nm", "poling_um"))
+        got = f"got pump_nm = {pump_nm}, signal_nm = {signal_nm}"
+        if process == "spdc":
+            if not 0.0 < pump_nm < signal_nm:
+                raise ConfigError(f"[{section}] needs 0 < pump_nm < signal_nm, {got}")
+            targets = (pump_nm, signal_nm, 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
+        else:
+            if not (pump_nm > 0.0 and signal_nm > 0.0):
+                raise ConfigError(f"[{section}] pump_nm and signal_nm must be positive, {got}")
+            targets = (1.0 / (1.0 / pump_nm + 1.0 / signal_nm), pump_nm, signal_nm)
+        crystal = sp.CrystalSpec(
+            length_mm=getattr(cfg, prefix + "length_mm"),
+            poling_period_um=1.0 if poling_um is None else poling_um,
+            process=process,
+            crystal_type=crystal_type,
+            axes={role: getattr(cfg, f"{prefix}{role}_axis") for role in sp.WAVE_ORDER[process]},
+            dispersion=dispersion,
+        )
+        if poling_um is None:
+            with _naming(f"[{section}] pump_nm = {pump_nm:g}, signal_nm = {signal_nm:g}"):
+                crystal = sp.with_solved_poling(crystal, targets)
+        crystals.append(crystal)
+    return tuple(crystals)
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -288,14 +273,14 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 
 
 @contextmanager
-def _naming(prefix: str):
-    """Prefix an error raised in the block with ``prefix``, which names the config key at fault.
+def _naming(prefix: str, errors: tuple[type[Exception], ...] = (sp.SpectralError, ValueError)):
+    """Prefix an error of a type in ``errors`` raised in the block with ``prefix``, which names the config key at fault.
 
     The spectral code's messages do not say which crystal or grid key they came from.
     """
     try:
         yield
-    except (sp.SpectralError, xp.FitError, ValueError) as exc:
+    except errors as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
 
 
@@ -421,8 +406,13 @@ def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
     if cfg.fringe_axis == "phase":
         axis = np.linspace(cfg.fringe_phase_min_rad, cfg.fringe_phase_max_rad, cfg.fringe_points)
         phases = axis
+        span = f"phase_min_rad = {cfg.fringe_phase_min_rad:g}, phase_max_rad = {cfg.fringe_phase_max_rad:g}"
     elif cfg.fringe_axis == "plate":
         axis = np.linspace(cfg.fringe_plate_tilt_min_rad, cfg.fringe_plate_tilt_max_rad, cfg.fringe_points)
+        span = (
+            f"plate_tilt_min_rad = {cfg.fringe_plate_tilt_min_rad:g}, "
+            f"plate_tilt_max_rad = {cfg.fringe_plate_tilt_max_rad:g}"
+        )
         phases = np.array(
             [
                 xp.plate_phase(
@@ -443,8 +433,10 @@ def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
         scan = xp.noon_fringe(
             n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
         )
-        with _naming(f"[fringe] visibility_n{n} = {vis:g}"):
-            reports[n] = xp.fit_visibility(scan, n)
+        # A scan too short or too narrow to fit raises ValueError; a fit that fails on the data, FitError.
+        with _naming(f"[fringe] visibility_n{n} = {vis:g}", (xp.FitError,)):
+            with _naming(f"[fringe] points = {cfg.fringe_points}, {span}", (ValueError,)):
+                reports[n] = xp.fit_visibility(scan, n)
         files[f"fringe_n{n}.csv"] = replace(scan, param=axis).to_csv()
 
     ratio = reports[2].frequency / reports[1].frequency

@@ -134,11 +134,6 @@ def _checked_means(means: Sequence[float]) -> np.ndarray:
     return means
 
 
-def poisson_sample(mean: float, seed: int) -> int:
-    """One Poisson draw: point 0 of ``poisson_counts([mean], seed)``."""
-    return int(poisson_counts([mean], seed)[0])
-
-
 def poisson_counts(means: Sequence[float], seed: int) -> np.ndarray:
     """Poisson draws with one independent substream per point.
 
@@ -203,7 +198,13 @@ class ScanResult:
         return cls(*_read_csv(text, "param,expected,counts,sigma", (float, float, int)))
 
 
-def _finish_scan(param: np.ndarray, expected: np.ndarray, seed: int, noiseless: bool) -> ScanResult:
+def _finish_scan(
+    param: np.ndarray, rate_hz: float, t_bin_s: float, shape: np.ndarray, seed: int, noiseless: bool
+) -> ScanResult:
+    """Expected counts rate * t_bin * shape, clipped at 0, then sampled (or rounded if ``noiseless``)."""
+    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
+        raise ValueError("rate and integration time must be positive and finite")
+    expected = np.clip(rate_hz * t_bin_s * shape, 0.0, None)
     if noiseless:
         counts = np.rint(_checked_means(expected)).astype(np.int64)
     else:
@@ -229,12 +230,8 @@ def _delay_scan(
     """Expected counts rate * t_bin * shape(overlap * g(delay)), then sampled."""
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
-    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
-        raise ValueError("rate and integration time must be positive and finite")
     delays = np.asarray(delays_mm, dtype=float)
-    expected = rate_hz * t_bin_s * shape(overlap * overlap_kernel(spectrum, delays))
-    expected = np.clip(expected, 0.0, None)
-    return _finish_scan(delays, expected, seed, noiseless)
+    return _finish_scan(delays, rate_hz, t_bin_s, shape(overlap * overlap_kernel(spectrum, delays)), seed, noiseless)
 
 
 def hom_scan(
@@ -300,12 +297,9 @@ def noon_fringe(
         raise ValueError("photon number must be at least 1")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
-        raise ValueError("rate and integration time must be positive and finite")
     phases = np.asarray(phases_rad, dtype=float)
-    expected = rate_hz * t_bin_s * (1.0 + visibility * np.cos(n_photons * phases + FRINGE_PHASE_OFFSET)) / 2.0
-    expected = np.clip(expected, 0.0, None)
-    return _finish_scan(phases, expected, seed, noiseless)
+    shape = (1.0 + visibility * np.cos(n_photons * phases + FRINGE_PHASE_OFFSET)) / 2.0
+    return _finish_scan(phases, rate_hz, t_bin_s, shape, seed, noiseless)
 
 
 def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np.ndarray:
@@ -359,7 +353,7 @@ def _edge_baseline(data: np.ndarray) -> float:
     k = max(1, int(len(data) * _BASELINE_FRACTION / 2))
     baseline = float(np.mean(np.concatenate([data[:k], data[-k:]])))
     if baseline <= 0:
-        raise ValueError("baseline is not positive; widen the scan")
+        raise ValueError("baseline is not positive: the scan's edge bins have no counts")
     return baseline
 
 
@@ -567,27 +561,6 @@ def sql_verdict(visibility: float, visibility_sigma: float, n_photons: int) -> S
     else:
         margin = 0.0 if visibility == threshold else math.copysign(math.inf, visibility - threshold)
     return SqlVerdict(n_photons, visibility, visibility_sigma, threshold, beats, margin)
-
-
-@dataclass(frozen=True)
-class MetrologyLimits:
-    """Phase-precision limits and the effective N-photon wavelength."""
-
-    delta_phi_heisenberg: float
-    delta_phi_sql: float
-    de_broglie_nm: float
-
-
-def metrology_limits(n_photons: int, wavelength_nm: float) -> MetrologyLimits:
-    if n_photons < 1:
-        raise ValueError("photon number must be at least 1")
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
-    return MetrologyLimits(
-        delta_phi_heisenberg=1.0 / n_photons,
-        delta_phi_sql=1.0 / math.sqrt(n_photons),
-        de_broglie_nm=wavelength_nm / n_photons,
-    )
 
 
 @dataclass(frozen=True)

@@ -341,24 +341,23 @@ class Spectrum:
 def _write_csv(header: str, *columns: np.ndarray) -> str:
     """``header`` plus one line per row of ``columns``, integer columns as ``%d``, the others as ``%.12g``.
 
-    A table shorter than ``_ARRAY_CSV_ROWS`` rows is written by one ``%``
-    operation over all its values.  A longer one is formatted with numpy
-    array arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time, into the same
-    bytes: each cell is laid out position-major, one uint8 row per character
-    position and one column per table row, a zero byte marking a position
-    that cell does not use.  One transpose and one gather of the nonzero
-    bytes then join the rows.
+    A table with an integer column, or shorter than ``_ARRAY_CSV_ROWS`` rows,
+    is written by one ``%`` operation over all its values.  A longer table
+    of floats is formatted with numpy array arithmetic, ``_CSV_BLOCK_ROWS``
+    rows at a time, into the same bytes: each cell is laid out
+    position-major, one uint8 row per character position and one column per
+    table row, a zero byte marking a position that cell does not use.  One
+    transpose and one gather of the nonzero bytes then join the rows.
     """
     rows = len(columns[0])
     integer = [np.issubdtype(column.dtype, np.integer) for column in columns]
-    if rows < _ARRAY_CSV_ROWS:
+    if rows < _ARRAY_CSV_ROWS or any(integer):
         row_format = ",".join("%d" if i else "%.12g" for i in integer) + "\n"
         cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
         return f"{header}\n" + (row_format * rows) % cells
-    formats = [_d_cells if i else _g12_cells for i in integer]
     text = [f"{header}\n"]
     for start in range(0, rows, _CSV_BLOCK_ROWS):
-        parts = [format_cells(column[start : start + _CSV_BLOCK_ROWS]) for format_cells, column in zip(formats, columns)]
+        parts = [_g12_cells(column[start : start + _CSV_BLOCK_ROWS]) for column in columns]
         table = np.full((parts[0].shape[1], sum(len(part) + 1 for part in parts)), ord(","), np.uint8)
         end = 0
         for part in parts:
@@ -443,7 +442,8 @@ def _g12_cells(x: np.ndarray) -> np.ndarray:
     """``'%.12g' % v`` for each value ``v`` of ``x``, as a (_G12_ROWS, len(x)) position-major byte array.
 
     Fixed notation for exponents -4 <= X < 12, else ``e±XX``; trailing zeros
-    of the fraction and a bare point are dropped, as ``%g`` does.
+    of the fraction and a bare point are dropped, as ``%g`` does.  The
+    values ``_g12_mantissas`` does not prove are written by one ``%`` for all.
     """
     exponent, mantissa, proven = _g12_mantissas(np.asarray(x, dtype=float))
     digits = _digits(mantissa, 12)
@@ -465,32 +465,12 @@ def _g12_cells(x: np.ndarray) -> np.ndarray:
     cells[30] = np.where(exponent < 0, _MINUS, _PLUS) * sci
     size = np.abs(exponent)
     cells[31:] = (_digits(size, 3) + _ZERO) * np.stack((sci & (size >= 100), sci, sci))
-    _put_fallback(cells, "%.12g", x, proven)
-    return cells[cells.any(axis=1)]
-
-
-def _d_cells(v: np.ndarray) -> np.ndarray:
-    """``'%d' % n`` for each integer ``n`` of ``v``, laid out as ``_g12_cells`` does."""
-    v = np.asarray(v, dtype=np.int64)
-    width = max(len(str(v.max())), len(str(v.min())))
-    proven = v >= 0
-    digits = _digits(np.where(proven, v, 0), width)
-    leading = digits != 0  # then: some digit at index i or earlier is nonzero
-    leading[-1] = True
-    for i in range(1, width):
-        leading[i] |= leading[i - 1]
-    cells = (digits + _ZERO) * leading
-    _put_fallback(cells, "%d", v, proven)
-    return cells
-
-
-def _put_fallback(cells: np.ndarray, spec: str, values: np.ndarray, proven: np.ndarray) -> None:
-    """Overwrite the cells of the values not ``proven`` with their ``spec % value``, one ``%`` for all."""
     redo = np.flatnonzero(~proven)
     if redo.size:
-        text = (f"{spec}\n" * redo.size) % tuple(values[redo].tolist())
-        strings = np.array(text.split(), dtype=f"S{cells.shape[0]}")
-        cells[:, redo] = strings.view(np.uint8).reshape(redo.size, cells.shape[0]).T
+        text = ("%.12g\n" * redo.size) % tuple(x[redo].tolist())
+        strings = np.array(text.split(), dtype=f"S{_G12_ROWS}")
+        cells[:, redo] = strings.view(np.uint8).reshape(redo.size, _G12_ROWS).T
+    return cells[cells.any(axis=1)]
 
 
 def _read_csv(text: str, header: str, types: Sequence[type]) -> list[np.ndarray]:

@@ -310,6 +310,25 @@ class TestInvalidInput:
         assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 1
         assert capsys.readouterr().err == f"noonsim: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ("points = 4", "[fringe] points = 4, phase_min_rad = 0, phase_max_rad = 6.28319: need at least 8 scan points"),
+            ("phase_max_rad = 1", "[fringe] points = 96, phase_min_rad = 0, phase_max_rad = 1: scan must span"),
+            (
+                "axis = plate\nplate_tilt_max_rad = 0.03",
+                "[fringe] points = 96, plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.03: scan must span",
+            ),
+        ],
+        ids=["points", "phase_max_rad", "plate"],
+    )
+    def test_fringe_scan_error_names_the_scan_keys(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[fringe]\n{config}\n")
+        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "fringe") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"noonsim: error: {message}"), err
+
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(
         ("pattern", "line", "message"),

@@ -19,10 +19,10 @@ def sinc2_spectrum(width_nm=0.5, half_span_nm=40.0, points=1024, lam0=1547.0):
 
 class TestPoissonSampling:
     def test_zero_mean_always_zero(self):
-        assert all(ns.poisson_sample(0.0, seed) == 0 for seed in range(20))
+        assert all(ns.poisson_counts([0.0], seed)[0] == 0 for seed in range(20))
 
     def test_deterministic_given_seed(self):
-        assert ns.poisson_sample(37.5, 99) == ns.poisson_sample(37.5, 99)
+        assert ns.poisson_counts([37.5], 99)[0] == ns.poisson_counts([37.5], 99)[0]
         a = ns.poisson_counts(np.full(100, 12.0), 4321)
         b = ns.poisson_counts(np.full(100, 12.0), 4321)
         assert np.array_equal(a, b)
@@ -38,7 +38,7 @@ class TestPoissonSampling:
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            ns.poisson_sample(-1.0, 0)
+            ns.poisson_counts([-1.0], 0)[0]
         with pytest.raises(ValueError):
             ns.poisson_counts([1.0, -2.0], 0)
 
@@ -47,7 +47,7 @@ class TestPoissonSampling:
         with pytest.raises(ValueError):
             ns.poisson_counts([1.0, bad, 50.0], 0)
         with pytest.raises(ValueError):
-            ns.poisson_sample(bad, 0)
+            ns.poisson_counts([bad], 0)[0]
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -366,28 +366,6 @@ class TestSqlVerdict:
     def test_validation(self):
         with pytest.raises(ValueError):
             ns.sql_verdict(0.9, 0.1, 1)
-
-
-class TestMetrologyLimits:
-    def test_two_photons_at_green_wavelength(self):
-        limits = ns.metrology_limits(2, 525.0)
-        assert limits.de_broglie_nm == pytest.approx(262.5)
-
-    def test_single_photon(self):
-        limits = ns.metrology_limits(1, 1547.0)
-        assert (limits.delta_phi_heisenberg, limits.delta_phi_sql) == (1.0, 1.0)
-        assert limits.de_broglie_nm == 1547.0
-
-    def test_four_photons(self):
-        limits = ns.metrology_limits(4, 1000.0)
-        assert limits.delta_phi_heisenberg == 0.25
-        assert limits.delta_phi_sql == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ns.metrology_limits(0, 500.0)
-        with pytest.raises(ValueError):
-            ns.metrology_limits(2, -1.0)
 
 
 REFERENCE_STAGES = (

@@ -136,6 +136,14 @@ def test_outputs_match_golden(config, tmp_path):
     )
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_outputs_match_golden_numbers_on_another_build(config, tmp_path, monkeypatch):
+    # A probe that differs from the record sends every config to the numeric --noiseless check.
+    monkeypatch.setitem(globals(), "probe", lambda: "0" * 64)
+    with pytest.raises(pytest.skip.Exception, match="--noiseless values matched"):
+        test_outputs_match_golden(config, tmp_path)
+
+
 def regenerate() -> None:
     """Rewrite ``sha256.txt`` and ``noiseless.json`` from this checkout's outputs."""
     lines = [
