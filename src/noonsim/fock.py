@@ -232,9 +232,6 @@ def apply_two_mode_mixer(
     for fock, amp in state.amplitudes.items():
         n_a = fock.count(mode_a)
         n_b = fock.count(mode_b)
-        if n_a == 0 and n_b == 0:
-            out[fock] = out.get(fock, 0j) + amp
-            continue
         prefactor = amp / math.sqrt(math.factorial(n_a) * math.factorial(n_b))
         for j in range(n_a + 1):
             wa = math.comb(n_a, j) * u[0, 0] ** j * u[1, 0] ** (n_a - j)

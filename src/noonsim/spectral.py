@@ -341,17 +341,19 @@ class Spectrum:
 def _write_csv(header: str, *columns: np.ndarray) -> str:
     """``header`` plus one line per row of ``columns``, integer columns as ``%d``, the others as ``%.12g``.
 
-    A table with an integer column, or shorter than ``_ARRAY_CSV_ROWS`` rows,
-    is written by one ``%`` operation over all its values.  A longer table
-    of floats is formatted with numpy array arithmetic, ``_CSV_BLOCK_ROWS``
-    rows at a time, into the same bytes: each cell is laid out
+    A table shorter than ``_ARRAY_CSV_ROWS`` rows, or holding an integer of
+    magnitude 10**12 or more (``%.12g`` of 10**12 is ``1e+12``), is written
+    by one ``%`` operation over all its values.  A longer table is formatted
+    with numpy array arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time, into the
+    same bytes (an integer column as floats): each cell is laid out
     position-major, one uint8 row per character position and one column per
     table row, a zero byte marking a position that cell does not use.  One
     transpose and one gather of the nonzero bytes then join the rows.
     """
     rows = len(columns[0])
     integer = [np.issubdtype(column.dtype, np.integer) for column in columns]
-    if rows < _ARRAY_CSV_ROWS or any(integer):
+    huge = (np.any((column >= 10**12) | (column <= -(10**12))) for column, i in zip(columns, integer) if i)
+    if rows < _ARRAY_CSV_ROWS or any(huge):
         row_format = ",".join("%d" if i else "%.12g" for i in integer) + "\n"
         cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
         return f"{header}\n" + (row_format * rows) % cells
@@ -371,8 +373,9 @@ def _write_csv(header: str, *columns: np.ndarray) -> str:
 
 #: Shortest table ``_write_csv`` formats with array arithmetic.  The array
 #: passes' fixed cost makes them slower than CPython's per-value ``%`` up to
-#: about 1500 rows and 8-14 % faster at 2048; their first use in a process
-#: also pages in about 0.6 MB of numpy code, not worth a smaller saving.
+#: about 1500 rows of a spectrum and 2048-2560 rows of a 4-column scan table
+#: (0.6x its time from 3072); their first use in a process also pages in
+#: about 0.6 MB of numpy code, not worth a smaller saving.
 _ARRAY_CSV_ROWS = 2048
 #: Rows formatted at once; bounds the formatter's scratch arrays.
 _CSV_BLOCK_ROWS = 4096

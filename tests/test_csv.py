@@ -1,8 +1,9 @@
 """The CSV writer and reader against their per-value references.
 
 The writer formats long tables with array arithmetic; on every table, of
-either layout and on both sides of the crossover to that path, it must
-give exactly the bytes of the per-row ``row_format % row``.
+either layout, on both sides of the crossover to that path and with counts
+on both sides of 10**12, it must give exactly the bytes of the per-row
+``row_format % row``.
 
 The reader parses a table with one ``np.loadtxt`` call.  Every read must
 give the arrays of per-cell ``float()`` and ``int()`` bit for bit, or name
@@ -213,6 +214,12 @@ ALL_EDGES = np.concatenate((*EDGES, *(-edges for edges in EDGES))).tolist()
 )
 @example(LAYOUTS[0], ALL_EDGES, [0], _CSV_BLOCK_ROWS + 7)
 @example(LAYOUTS[1], ALL_EDGES, [0, 7, 10, 99], _CSV_BLOCK_ROWS + 7)
+# Counts below 10**12 in magnitude take the array path; from 10**12, whose
+# %.12g is 1e+12, the table falls back to % (also at -2**63, where abs overflows).
+@example(LAYOUTS[1], ALL_EDGES, [999_999_999_999, -999_999_999_999, -1, 0], _ARRAY_CSV_ROWS)
+@example(LAYOUTS[1], ALL_EDGES, [10**12, 3], _ARRAY_CSV_ROWS)
+@example(LAYOUTS[1], ALL_EDGES, [-(10**12), 3], _ARRAY_CSV_ROWS)
+@example(LAYOUTS[1], ALL_EDGES, [-(2**63), 1], _ARRAY_CSV_ROWS)
 def test_writer_matches_per_row_format(layout, floats, counts, rows):
     assert_writes_per_row(layout, layout_columns(layout, floats, counts, rows))
 
