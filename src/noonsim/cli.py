@@ -403,29 +403,22 @@ def cmd_bunching(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
-    if cfg.fringe_axis == "phase":
-        axis = np.linspace(cfg.fringe_phase_min_rad, cfg.fringe_phase_max_rad, cfg.fringe_points)
-        phases = axis
-        span = f"phase_min_rad = {cfg.fringe_phase_min_rad:g}, phase_max_rad = {cfg.fringe_phase_max_rad:g}"
-    elif cfg.fringe_axis == "plate":
-        axis = np.linspace(cfg.fringe_plate_tilt_min_rad, cfg.fringe_plate_tilt_max_rad, cfg.fringe_points)
-        span = (
-            f"plate_tilt_min_rad = {cfg.fringe_plate_tilt_min_rad:g}, "
-            f"plate_tilt_max_rad = {cfg.fringe_plate_tilt_max_rad:g}"
-        )
-        phases = np.array(
-            [
-                xp.plate_phase(
-                    tilt,
-                    cfg.fringe_plate_thickness_mm * 1e-3,
-                    cfg.fringe_plate_index,
-                    cfg.fringe_wavelength_nm * 1e-9,
-                )
-                for tilt in axis
-            ]
-        )
-    else:
+    prefix = {"phase": "phase", "plate": "plate_tilt"}.get(cfg.fringe_axis)
+    if prefix is None:
         raise ConfigError(f"fringe axis must be 'phase' or 'plate', got {cfg.fringe_axis!r}")
+    low, high = getattr(cfg, f"fringe_{prefix}_min_rad"), getattr(cfg, f"fringe_{prefix}_max_rad")
+    axis = np.linspace(low, high, cfg.fringe_points)
+    span = f"{prefix}_min_rad = {low:g}, {prefix}_max_rad = {high:g}"
+    phases = axis
+    if cfg.fringe_axis == "plate":
+        plate = (
+            f"plate_thickness_mm = {cfg.fringe_plate_thickness_mm:g}, plate_index = {cfg.fringe_plate_index:g}, "
+            f"wavelength_nm = {cfg.fringe_wavelength_nm:g}"
+        )
+        with _naming(f"[fringe] {span}, {plate}", (ValueError,)):
+            phases = xp.plate_phase(
+                axis, cfg.fringe_plate_thickness_mm * 1e-3, cfg.fringe_plate_index, cfg.fringe_wavelength_nm * 1e-9
+            )
 
     files = {}
     reports = {}

@@ -324,18 +324,21 @@ def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np
     return probs
 
 
-def plate_phase(tilt_rad: float, thickness_m: float, index: float, wavelength_m: float) -> float:
-    """Optical phase a tilted plate adds to one interferometer arm.
+def plate_phase(
+    tilt_rad: float | np.ndarray, thickness_m: float, index: float, wavelength_m: float
+) -> float | np.ndarray:
+    """Optical phase a tilted plate adds to one interferometer arm, for a tilt or an array of tilts.
 
     Even in the tilt and zero at normal incidence.
     """
-    if abs(tilt_rad) >= math.pi / 3.0:
+    tilt_rad = np.asarray(tilt_rad, dtype=float)
+    if np.any(np.abs(tilt_rad) >= math.pi / 3.0):
         raise ValueError("plate tilt must satisfy |tilt| < pi/3")
     if index <= 1.0:
         raise ValueError("plate index must exceed 1")
     if not (thickness_m > 0.0 and wavelength_m > 0.0):
         raise ValueError("plate thickness and wavelength must be positive")
-    geometry = math.sqrt(index**2 - math.sin(tilt_rad) ** 2) - math.cos(tilt_rad) - (index - 1.0)
+    geometry = np.sqrt(index**2 - np.sin(tilt_rad) ** 2) - np.cos(tilt_rad) - (index - 1.0)
     return 2.0 * math.pi * thickness_m / wavelength_m * geometry
 
 

@@ -319,15 +319,40 @@ class TestInvalidInput:
                 "axis = plate\nplate_tilt_max_rad = 0.03",
                 "[fringe] points = 96, plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.03: scan must span",
             ),
+            (
+                "axis = plate\nplate_index = 0.9",
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, "
+                "plate_thickness_mm = 0.2, plate_index = 0.9, wavelength_nm = 525.135: "
+                "plate index must exceed 1",
+            ),
+            (
+                "axis = plate\nplate_tilt_max_rad = 1.2",
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 1.2, plate_thickness_mm = 0.2, "
+                "plate_index = 1.5, wavelength_nm = 525.135: plate tilt must satisfy |tilt| < pi/3",
+            ),
+            (
+                "axis = plate\nwavelength_nm = 0",
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, "
+                "plate_thickness_mm = 0.2, plate_index = 1.5, wavelength_nm = 0: "
+                "plate thickness and wavelength must be positive",
+            ),
+            (
+                "axis = plate\nplate_thickness_mm = 0",
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, "
+                "plate_thickness_mm = 0, plate_index = 1.5, wavelength_nm = 525.135: "
+                "plate thickness and wavelength must be positive",
+            ),
         ],
-        ids=["points", "phase_max_rad", "plate"],
+        ids=["points", "phase_max_rad", "plate", "plate_index", "plate_tilt", "wavelength", "plate_thickness"],
     )
     def test_fringe_scan_error_names_the_scan_keys(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[fringe]\n{config}\n")
-        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "fringe") == 1
+        out = tmp_path / "o"
+        assert run_cli("--config", str(cfg), "--out", str(out), "fringe") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"noonsim: error: {message}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("noiseless", [False, True])
     @pytest.mark.parametrize(

@@ -248,6 +248,30 @@ class TestPlatePhase:
             with pytest.raises(ValueError):
                 ns.plate_phase(0.1, thickness_m, 1.5, wavelength_m)
 
+    @pytest.mark.parametrize(
+        ("thickness_m", "index", "wavelength_m"), [(2e-4, 1.5, 525e-9), (1e-3, 1.45, 1547e-9), (5e-5, 2.2, 775e-9)]
+    )
+    def test_array_matches_snell_law(self, thickness_m, index, wavelength_m):
+        # Path difference through the refracted ray, against the untilted plate.
+        tilts = np.linspace(-np.pi / 3, np.pi / 3, 2001)[1:-1]
+        refracted = np.arcsin(np.sin(tilts) / index)
+        path = (
+            index * thickness_m / np.cos(refracted)
+            - thickness_m * np.cos(tilts - refracted) / np.cos(refracted)
+            - (index - 1.0) * thickness_m
+        )
+        scale = 2 * np.pi * thickness_m / wavelength_m
+        phases = ns.plate_phase(tilts, thickness_m, index, wavelength_m)
+        assert phases.shape == tilts.shape
+        np.testing.assert_allclose(phases, 2 * np.pi / wavelength_m * path, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("edge", [np.pi / 3, -np.pi / 3, 2.0])
+    def test_array_with_one_tilt_out_of_range_raises(self, edge):
+        tilts = np.linspace(-0.5, 0.5, 11)
+        tilts[4] = edge
+        with pytest.raises(ValueError, match="plate tilt"):
+            ns.plate_phase(tilts, 2e-4, 1.5, 525e-9)
+
 
 class TestFitVisibility:
     def test_noiseless_recovery_is_exact(self):
