@@ -18,7 +18,6 @@ from .fock import (
     enumerate_basis,
     inner_product,
     noon_state,
-    relabel_mode,
 )
 from .elements import (
     Circuit,

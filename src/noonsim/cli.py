@@ -269,7 +269,11 @@ def _grid(cfg: RunConfig) -> np.ndarray:
             f"[grid] span_nm = {cfg.grid_span_nm:g} puts the shortest wavelength at {shortest:g} nm, "
             f"which must exceed [source_crystal] pump_nm = {cfg.spdc_pump_nm:g}"
         )
-    return np.linspace(shortest, cfg.spdc_signal_nm + half, cfg.grid_points)
+    grid = np.linspace(shortest, cfg.spdc_signal_nm + half, cfg.grid_points)
+    # A span too narrow for float64 to resolve gives a grid that no Spectrum accepts.
+    with _naming(f"[grid] points = {cfg.grid_points}, span_nm = {cfg.grid_span_nm:g}"):
+        sp.Spectrum(grid, np.zeros_like(grid))
+    return grid
 
 
 @contextmanager
@@ -357,21 +361,25 @@ def cmd_spectra(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_hom(cfg: RunConfig) -> dict[str, str]:
     emission, _, filtered, _, _ = _spectra(cfg)
+    rate = f"rate_hz = {cfg.hom_rate_hz:g}, t_bin_s = {cfg.hom_t_bin_s:g}"
     delays = np.linspace(cfg.hom_delay_min_mm, cfg.hom_delay_max_mm, cfg.hom_delay_points)
-    source = xp.hom_scan(
-        emission, cfg.hom_gamma, delays, cfg.hom_rate_hz, cfg.hom_t_bin_s, cfg.seed, cfg.noiseless
-    )
+    with _naming(f"[hom] gamma = {cfg.hom_gamma:g}, delay_points = {cfg.hom_delay_points}, {rate}"):
+        source = xp.hom_scan(
+            emission, cfg.hom_gamma, delays, cfg.hom_rate_hz, cfg.hom_t_bin_s, cfg.seed, cfg.noiseless
+        )
     up_delays = np.linspace(cfg.hom_up_delay_min_mm, cfg.hom_up_delay_max_mm, cfg.hom_up_delay_points)
-    upconverted = xp.hom_scan(
-        filtered,
-        cfg.hom_gamma_upconverted,
-        up_delays,
-        cfg.hom_rate_hz,
-        cfg.hom_t_bin_s,
-        cfg.seed + 1,
-        cfg.noiseless,
-    )
-    with _naming(f"[hom] rate_hz = {cfg.hom_rate_hz:g}, t_bin_s = {cfg.hom_t_bin_s:g}"):
+    up = f"gamma_upconverted = {cfg.hom_gamma_upconverted:g}, up_delay_points = {cfg.hom_up_delay_points}"
+    with _naming(f"[hom] {up}, {rate}"):
+        upconverted = xp.hom_scan(
+            filtered,
+            cfg.hom_gamma_upconverted,
+            up_delays,
+            cfg.hom_rate_hz,
+            cfg.hom_t_bin_s,
+            cfg.seed + 1,
+            cfg.noiseless,
+        )
+    with _naming(f"[hom] {rate}"):
         vis_source, vis_upconverted = xp.dip_visibility(source), xp.dip_visibility(upconverted)
     summary = _summary(
         [
@@ -387,16 +395,18 @@ def cmd_hom(cfg: RunConfig) -> dict[str, str]:
 def cmd_bunching(cfg: RunConfig) -> dict[str, str]:
     emission, _, _, _, _ = _spectra(cfg)
     delays = np.linspace(cfg.bunching_delay_min_mm, cfg.bunching_delay_max_mm, cfg.bunching_delay_points)
-    scan = xp.bunching_scan(
-        cfg.bunching_gamma,
-        delays,
-        cfg.bunching_rate_hz,
-        cfg.bunching_t_bin_s,
-        cfg.seed,
-        spectrum=emission,
-        noiseless=cfg.noiseless,
-    )
-    with _naming(f"[bunching] rate_hz = {cfg.bunching_rate_hz:g}, t_bin_s = {cfg.bunching_t_bin_s:g}"):
+    rate = f"rate_hz = {cfg.bunching_rate_hz:g}, t_bin_s = {cfg.bunching_t_bin_s:g}"
+    with _naming(f"[bunching] gamma = {cfg.bunching_gamma:g}, delay_points = {cfg.bunching_delay_points}, {rate}"):
+        scan = xp.bunching_scan(
+            cfg.bunching_gamma,
+            delays,
+            cfg.bunching_rate_hz,
+            cfg.bunching_t_bin_s,
+            cfg.seed,
+            spectrum=emission,
+            noiseless=cfg.noiseless,
+        )
+    with _naming(f"[bunching] {rate}"):
         ratio = xp.peak_to_baseline_ratio(scan)
     summary = _summary([("gamma", cfg.bunching_gamma), ("peak_to_baseline_ratio", ratio)])
     return {"bunching.csv": scan.to_csv(), "bunching_summary.txt": summary}
@@ -422,10 +432,12 @@ def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
 
     files = {}
     reports = {}
+    rate = f"rate_hz = {cfg.fringe_rate_hz:g}, t_bin_s = {cfg.fringe_t_bin_s:g}"
     for n, vis, seed_shift in ((1, cfg.fringe_visibility_n1, 0), (2, cfg.fringe_visibility_n2, 1)):
-        scan = xp.noon_fringe(
-            n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
-        )
+        with _naming(f"[fringe] visibility_n{n} = {vis:g}, points = {cfg.fringe_points}, {rate}"):
+            scan = xp.noon_fringe(
+                n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
+            )
         # A scan too short or too narrow to fit raises ValueError; a fit that fails on the data, FitError.
         with _naming(f"[fringe] visibility_n{n} = {vis:g}", (xp.FitError,)):
             with _naming(f"[fringe] points = {cfg.fringe_points}, {span}", (ValueError,)):

@@ -16,17 +16,11 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .fock import (
-    ModeId,
-    StateVector,
-    apply_phase,
-    apply_two_mode_mixer,
-    relabel_mode,
-)
+from .fock import ModeId, StateVector, apply_phase, apply_two_mode_mixer
 
 TwoModeUnitary = np.ndarray
 
-_ELEMENT_KINDS = ("splitter", "phase", "converter", "relabel")
+_ELEMENT_KINDS = ("splitter", "phase", "converter")
 
 
 def beamsplitter(theta: float) -> TwoModeUnitary:
@@ -79,7 +73,7 @@ class CircuitElement:
 
     kind: str
     modes: tuple[ModeId, ...]
-    param: float | None = None
+    param: float
 
     def __post_init__(self):
         if self.kind not in _ELEMENT_KINDS:
@@ -90,12 +84,8 @@ class CircuitElement:
             raise ValueError(f"{self.kind} element needs {expected_arity} mode(s), got {self.modes!r}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("element modes must be distinct")
-        if self.kind == "relabel":
-            if self.param is not None:
-                raise ValueError("relabel takes no parameter")
-        else:
-            if self.param is None or not math.isfinite(self.param):
-                raise ValueError(f"{self.kind} element needs a finite parameter")
+        if self.param is None or not math.isfinite(self.param):
+            raise ValueError(f"{self.kind} element needs a finite parameter")
 
     @classmethod
     def splitter(cls, theta: float, mode_a: ModeId, mode_b: ModeId) -> "CircuitElement":
@@ -108,10 +98,6 @@ class CircuitElement:
     @classmethod
     def converter(cls, xi_t: float, mode_in: ModeId, mode_out: ModeId) -> "CircuitElement":
         return cls("converter", (mode_in, mode_out), xi_t)
-
-    @classmethod
-    def relabel(cls, old: ModeId, new: ModeId) -> "CircuitElement":
-        return cls("relabel", (old, new), None)
 
 
 @dataclass(frozen=True)
@@ -131,10 +117,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             state = apply_two_mode_mixer(state, beamsplitter(el.param), *el.modes)
         elif el.kind == "converter":
             state = apply_two_mode_mixer(state, frequency_converter(el.param), *el.modes)
-        elif el.kind == "phase":
-            state = apply_phase(state, el.modes[0], el.param)
         else:
-            state = relabel_mode(state, *el.modes)
+            state = apply_phase(state, el.modes[0], el.param)
     return state
 
 
@@ -142,12 +126,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 class DetectorPattern:
     """Required click/no-click outcomes on threshold detectors.
 
-    Detectors are non-number-resolving: a mode with n photons clicks with
+    Each detector is a (mode, must click, efficiency) triple.  Detectors
+    are non-number-resolving: a mode with n photons clicks with
     probability 1 - (1 - eta)^n at efficiency eta.
     """
 
-    requirements: tuple[tuple[ModeId, bool], ...]
-    efficiencies: tuple[tuple[ModeId, float], ...]
+    detectors: tuple[tuple[ModeId, bool, float], ...]
 
     @classmethod
     def of(
@@ -155,11 +139,9 @@ class DetectorPattern:
         requirements: Mapping[ModeId, bool],
         efficiency: Union[float, Mapping[ModeId, float]] = 1.0,
     ) -> "DetectorPattern":
-        if isinstance(efficiency, Mapping):
-            etas = {m: float(efficiency.get(m, 1.0)) for m in requirements}
-        else:
-            etas = {m: float(efficiency) for m in requirements}
-        return cls(tuple(requirements.items()), tuple(etas.items()))
+        if not isinstance(efficiency, Mapping):
+            efficiency = dict.fromkeys(requirements, efficiency)
+        return cls(tuple((m, click, float(efficiency.get(m, 1.0))) for m, click in requirements.items()))
 
     @classmethod
     def coincidence(
@@ -170,26 +152,21 @@ class DetectorPattern:
         return cls.of({m: True for m in modes}, efficiency)
 
     def __post_init__(self):
-        for mode, eta in self.efficiencies:
+        for mode, _, eta in self.detectors:
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"efficiency for mode {mode!r} must lie in [0, 1], got {eta}")
-        req_modes = {m for m, _ in self.requirements}
-        eta_modes = {m for m, _ in self.efficiencies}
-        if req_modes != eta_modes:
-            raise ValueError("efficiency map must cover exactly the pattern modes")
 
 
 def detect(state: StateVector, pattern: DetectorPattern) -> float:
     """Probability that every detector in the pattern reports its required outcome."""
-    missing = {m for m, _ in pattern.requirements} - set(state.modes)
+    missing = {m for m, _, _ in pattern.detectors} - set(state.modes)
     if missing:
         raise ValueError(f"pattern references modes absent from the state: {sorted(missing)}")
-    eta = dict(pattern.efficiencies)
     total = 0.0
     for fock, amp in state.amplitudes.items():
         weight = abs(amp) ** 2
-        for mode, wants_click in pattern.requirements:
-            p_dark = (1.0 - eta[mode]) ** fock.count(mode)
+        for mode, wants_click, eta in pattern.detectors:
+            p_dark = (1.0 - eta) ** fock.count(mode)
             weight *= (1.0 - p_dark) if wants_click else p_dark
         total += weight
     return total

@@ -9,6 +9,7 @@ may be evaluated concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -82,12 +83,6 @@ class FockState:
         counts[mode_b] = n_b
         return FockState.from_counts(counts)
 
-    def renamed(self, old: ModeId, new: ModeId) -> "FockState":
-        counts = {m: n for m, n in self.occupations}
-        if old in counts:
-            counts[new] = counts.pop(old)
-        return FockState.from_counts(counts)
-
 
 @dataclass
 class StateVector:
@@ -149,17 +144,11 @@ def enumerate_basis(
     if size > max_states:
         raise CapacityError(f"basis of {size} states exceeds the limit of {max_states}")
 
-    states: list[FockState] = []
-
-    def build(remaining: int, index: int, partial: list[int]):
-        if index == len(modes) - 1:
-            states.append(FockState.from_counts(dict(zip(modes, partial + [remaining]))))
-            return
-        for n in range(remaining + 1):
-            build(remaining - n, index + 1, partial + [n])
-
-    build(n_photons, 0, [])
-    return states
+    # Each multiset of modes is one pattern; sort its occupation tuples into the documented order.
+    occupations = sorted(
+        tuple(combo.count(m) for m in modes) for combo in itertools.combinations_with_replacement(modes, n_photons)
+    )
+    return [FockState.from_counts(dict(zip(modes, occ))) for occ in occupations]
 
 
 def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateVector:
@@ -254,13 +243,3 @@ def apply_phase(state: StateVector, mode: ModeId, phi: float) -> StateVector:
         state.modes,
         {f: a * factor ** f.count(mode) for f, a in state.amplitudes.items()},
     )
-
-
-def relabel_mode(state: StateVector, old: ModeId, new: ModeId) -> StateVector:
-    """Rename a mode.  The new label must not collide with an existing one."""
-    if old not in state.modes:
-        raise ModeMismatchError(f"mode {old!r} not in state modes {state.modes!r}")
-    if new in state.modes:
-        raise ValueError(f"mode {new!r} already exists; relabel cannot merge modes")
-    modes = tuple(new if m == old else m for m in state.modes)
-    return StateVector(modes, {f.renamed(old, new): a for f, a in state.amplitudes.items()})

@@ -273,6 +273,9 @@ class TestInvalidInput:
             ("points = 0\nunit_acceptance = true", "points must be at least 3, got 0"),
             # Only spectra reports FWHMs; hom and bunching run on the clipped spectra.
             ("span_nm = 0.5", "span_nm = 0.5, FWHM of the emission spectrum: half height not crossed on the left side"),
+            # Spans too narrow for float64 to resolve around 1547 nm.
+            ("span_nm = 1e-9", "points = 4096, span_nm = 1e-09: grid must be uniform"),
+            ("span_nm = 1e-300", "points = 4096, span_nm = 1e-300: grid must be strictly increasing"),
         ],
     )
     def test_grid_error_names_its_key(self, tmp_path, capsys, command, grid, message):
@@ -435,11 +438,96 @@ class TestInvalidInput:
                 ["--noiseless", "fringe"],
                 "[fringe] visibility_n2 = 0: scan shows no fringe",
             ),
+            # Building a scan fails: the prefix names the scan's section and keys.
+            (
+                "[hom]\ngamma = 2",
+                ["hom"],
+                "[hom] gamma = 2, delay_points = 121, rate_hz = 600, t_bin_s = 1: overlap must lie in [0, 1]",
+            ),
+            (
+                "[hom]\ngamma_upconverted = 1.5",
+                ["hom"],
+                "[hom] gamma_upconverted = 1.5, up_delay_points = 121, rate_hz = 600, t_bin_s = 1: "
+                "overlap must lie in [0, 1]",
+            ),
+            (
+                "[bunching]\ngamma = 2",
+                ["bunching"],
+                "[bunching] gamma = 2, delay_points = 121, rate_hz = 2400, t_bin_s = 1: overlap must lie in [0, 1]",
+            ),
+            (
+                "[fringe]\nvisibility_n2 = 1.5",
+                ["fringe"],
+                "[fringe] visibility_n2 = 1.5, points = 96, rate_hz = 600, t_bin_s = 1: visibility must lie in [0, 1]",
+            ),
+            (
+                "[hom]\nrate_hz = 0",
+                ["hom"],
+                "[hom] gamma = 0.979, delay_points = 121, rate_hz = 0, t_bin_s = 1: "
+                "rate and integration time must be positive and finite",
+            ),
+            (
+                "[bunching]\nt_bin_s = 0",
+                ["bunching"],
+                "[bunching] gamma = 1, delay_points = 121, rate_hz = 2400, t_bin_s = 0: "
+                "rate and integration time must be positive and finite",
+            ),
+            (
+                "[fringe]\nrate_hz = 0",
+                ["fringe"],
+                "[fringe] visibility_n1 = 0.9751, points = 96, rate_hz = 0, t_bin_s = 1: "
+                "rate and integration time must be positive and finite",
+            ),
+            (
+                "[hom]\nrate_hz = 1e300",
+                ["hom"],
+                "[hom] gamma = 0.979, delay_points = 121, rate_hz = 1e+300, t_bin_s = 1: "
+                "Poisson means must not exceed 9.22337e+18",
+            ),
+            (
+                "[hom]\ndelay_points = 0",
+                ["hom"],
+                "[hom] gamma = 0.979, delay_points = 0, rate_hz = 600, t_bin_s = 1: a scan needs at least one point",
+            ),
+            (
+                "[hom]\nup_delay_points = 0",
+                ["hom"],
+                "[hom] gamma_upconverted = 0.9672, up_delay_points = 0, rate_hz = 600, t_bin_s = 1: "
+                "a scan needs at least one point",
+            ),
+            (
+                "[bunching]\ndelay_points = 0",
+                ["bunching"],
+                "[bunching] gamma = 1, delay_points = 0, rate_hz = 2400, t_bin_s = 1: a scan needs at least one point",
+            ),
+            (
+                "[fringe]\npoints = 0",
+                ["fringe"],
+                "[fringe] visibility_n1 = 0.9751, points = 0, rate_hz = 600, t_bin_s = 1: "
+                "a scan needs at least one point",
+            ),
         ],
-        ids=["spectra", "hom", "bunching", "fringe"],
+        ids=[
+            "spectra",
+            "hom",
+            "bunching",
+            "fringe",
+            "hom-gamma",
+            "hom-gamma_upconverted",
+            "bunching-gamma",
+            "fringe-visibility_n2",
+            "hom-rate_hz",
+            "bunching-t_bin_s",
+            "fringe-rate_hz",
+            "hom-rate_hz-poisson-cap",
+            "hom-delay_points",
+            "hom-up_delay_points",
+            "bunching-delay_points",
+            "fringe-points",
+        ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, config, args, message):
-        # Each run fails after some of its outputs are computed.
+        # Each run fails in its command, after the config has loaded.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{config}\n")
         out = tmp_path / "o"

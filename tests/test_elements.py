@@ -117,11 +117,6 @@ class TestCircuit:
         )
         assert ratio == pytest.approx(np.exp(2j * phi))
 
-    def test_relabel_element(self):
-        psi = ns.basis_state(("a", "b"), {"a": 1})
-        out = ns.apply_circuit(psi, Circuit((CircuitElement.relabel("a", "c"),)))
-        assert "c" in out.modes and "a" not in out.modes
-
     def test_converter_element_upconverts_both_arms(self):
         # Each telecom arm feeds its own conversion stage; at xi*t = pi/2 the
         # pair state transfers cleanly onto the upconverted mode labels.
@@ -206,18 +201,26 @@ class TestDetect:
         ]
         assert np.all(np.diff(probs) >= 0)
 
-    def test_perfect_detection_matches_born_rule(self):
-        # Brute-force oracle: sum |amp|^2 over basis states matching the pattern.
+    @pytest.mark.parametrize(
+        ("efficiency", "eta"),
+        [(1.0, {"a": 1.0, "b": 1.0, "c": 1.0}), ({"a": 0.3, "b": 0.8}, {"a": 0.3, "b": 0.8, "c": 1.0})],
+        ids=["perfect", "map-without-c"],
+    )
+    def test_perfect_detection_matches_born_rule(self, efficiency, eta):
+        # Brute-force oracle: sum over terms of |amp|^2 * prod_m (1 - (1 - eta_m)^n_m).  At
+        # eta = 1 a factor is 1 if the mode holds a photon and 0 if not: the Born rule.  A mode
+        # the efficiency map leaves out ("c") detects at efficiency 1.
         rng = np.random.default_rng(12)
-        basis = ns.enumerate_basis(2, ("a", "b"))
+        modes = ("a", "b", "c")
+        basis = ns.enumerate_basis(3, modes)
         amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        psi = ns.StateVector(("a", "b"), dict(zip(basis, amps))).normalized()
-        pattern = ns.DetectorPattern.coincidence("a", "b")
+        psi = ns.StateVector(modes, dict(zip(basis, amps))).normalized()
+        pattern = ns.DetectorPattern.coincidence(*modes, efficiency=efficiency)
         oracle = sum(
-            abs(amp) ** 2
+            abs(amp) ** 2 * math.prod(1.0 - (1.0 - eta[m]) ** fock.count(m) for m in modes)
             for fock, amp in psi.amplitudes.items()
-            if fock.count("a") >= 1 and fock.count("b") >= 1
         )
+        assert oracle > 0.0
         assert ns.detect(psi, pattern) == pytest.approx(oracle, abs=1e-12)
 
     def test_bad_efficiency_rejected(self):

@@ -54,10 +54,18 @@ class TestEnumerateBasis:
                 modes = [f"m{i}" for i in range(m)]
                 assert len(ns.enumerate_basis(n, modes)) == math.comb(n + m - 1, n)
 
-    def test_deterministic_lexicographic_order(self):
-        basis = ns.enumerate_basis(2, ["a", "b"])
-        occupations = [tuple(f.count(m) for m in "ab") for f in basis]
-        assert occupations == sorted(occupations)
+    @pytest.mark.parametrize("n_photons", range(5))
+    @pytest.mark.parametrize(
+        "modes", [["a"], ["a", "b"], ["b", "a"], ["b", "a", "c"], ["c", "a", "b"], ["d", "b", "c", "a"]]
+    )
+    def test_deterministic_lexicographic_order(self, n_photons, modes):
+        # Oracle: the occupancy cube, taken in the given mode order, filtered by
+        # total photon number; itertools.product yields it lexicographically.
+        oracle = [
+            occ for occ in itertools.product(range(n_photons + 1), repeat=len(modes)) if sum(occ) == n_photons
+        ]
+        basis = ns.enumerate_basis(n_photons, modes)
+        assert [tuple(f.count(m) for m in modes) for f in basis] == oracle
 
     def test_capacity_error(self):
         with pytest.raises(ns.CapacityError):
@@ -192,7 +200,7 @@ class TestMixerProperties:
             assert abs(ns.inner_product(psi, undone)) == pytest.approx(1.0, abs=1e-10)
 
 
-class TestPhaseAndRelabel:
+class TestPhase:
     def test_phase_multiplies_by_photon_number(self):
         noon = ns.noon_state(2, "a", "b")
         phi = 0.37
@@ -200,17 +208,6 @@ class TestPhaseAndRelabel:
         a20 = out.amplitude(FockState.from_counts({"a": 2}))
         a02 = out.amplitude(FockState.from_counts({"b": 2}))
         assert a02 / a20 == pytest.approx(np.exp(2j * phi))
-
-    def test_relabel(self):
-        psi = ns.basis_state(("a", "b"), {"a": 1})
-        out = ns.relabel_mode(psi, "a", "a@525nm")
-        assert out.modes == ("a@525nm", "b")
-        assert out.probability(FockState.from_counts({"a@525nm": 1})) == pytest.approx(1.0)
-
-    def test_relabel_cannot_merge(self):
-        psi = ns.basis_state(("a", "b"), {"a": 1})
-        with pytest.raises(ValueError):
-            ns.relabel_mode(psi, "a", "b")
 
 
 class TestStateVectorValidation:
