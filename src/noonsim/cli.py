@@ -291,12 +291,16 @@ def _naming(prefix: str, errors: tuple[type[Exception], ...] = (sp.SpectralError
 def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.CrystalSpec, sp.CrystalSpec]:
     spdc, sfg = _build_crystals(cfg)
     grid = _grid(cfg)
-    with _naming(f"[source_crystal] spectrum with length_mm = {spdc.length_mm:g}"):
+    # A failed spectrum names its crystal's length and any pinned poling period.
+    spdc_pinned, sfg_pinned = (
+        "" if um is None else f", poling_um = {um:g}" for um in (cfg.spdc_poling_um, cfg.sfg_poling_um)
+    )
+    with _naming(f"[source_crystal] spectrum with length_mm = {spdc.length_mm:g}{spdc_pinned}"):
         emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
     if cfg.grid_unit_acceptance:
         acceptance = sp.Spectrum(grid, np.ones_like(grid))
     else:
-        with _naming(f"[converter_crystal] spectrum with length_mm = {sfg.length_mm:g}"):
+        with _naming(f"[converter_crystal] spectrum with length_mm = {sfg.length_mm:g}{sfg_pinned}"):
             acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
     filtered = sp.filtered_spectrum(emission, acceptance)
     return emission, acceptance, filtered, spdc, sfg
@@ -439,7 +443,7 @@ def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
                 n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
             )
         # A scan too short or too narrow to fit raises ValueError; a fit that fails on the data, FitError.
-        with _naming(f"[fringe] visibility_n{n} = {vis:g}", (xp.FitError,)):
+        with _naming(f"[fringe] visibility_n{n} = {vis:g}, {rate}, {span}", (xp.FitError,)):
             with _naming(f"[fringe] points = {cfg.fringe_points}, {span}", (ValueError,)):
                 reports[n] = xp.fit_visibility(scan, n)
         files[f"fringe_n{n}.csv"] = replace(scan, param=axis).to_csv()

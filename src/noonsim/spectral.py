@@ -343,12 +343,10 @@ def _write_csv(header: str, *columns: np.ndarray) -> str:
 
     A table shorter than ``_ARRAY_CSV_ROWS`` rows, or holding an integer of
     magnitude 10**12 or more (``%.12g`` of 10**12 is ``1e+12``), is written
-    by one ``%`` operation over all its values.  A longer table is formatted
-    with numpy array arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time, into the
-    same bytes (an integer column as floats): each cell is laid out
-    position-major, one uint8 row per character position and one column per
-    table row, a zero byte marking a position that cell does not use.  One
-    transpose and one gather of the nonzero bytes then join the rows.
+    by one ``%`` operation over all its values.  A longer one is formatted
+    into the same bytes (integers as floats) by one ``_g12_cells`` call per
+    block of about ``_CSV_BLOCK_CELLS`` cells over all columns; a transposed
+    copy lays out the rows, and deleting the zero bytes joins them.
     """
     rows = len(columns[0])
     integer = [np.issubdtype(column.dtype, np.integer) for column in columns]
@@ -358,27 +356,25 @@ def _write_csv(header: str, *columns: np.ndarray) -> str:
         cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
         return f"{header}\n" + (row_format * rows) % cells
     text = [f"{header}\n"]
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        parts = [_g12_cells(column[start : start + _CSV_BLOCK_ROWS]) for column in columns]
-        table = np.full((parts[0].shape[1], sum(len(part) + 1 for part in parts)), ord(","), np.uint8)
-        end = 0
-        for part in parts:
-            table[:, end : end + len(part)] = part.T
-            end += len(part) + 1
-        table[:, -1] = ord("\n")
-        table = table.ravel()
-        text.append(np.compress(table != 0, table).tobytes().decode("ascii"))
+    width = len(columns)
+    step = -(-_CSV_BLOCK_CELLS // width)
+    for start in range(0, rows, step):
+        cells = _g12_cells(np.concatenate([column[start : start + step] for column in columns], dtype=float))
+        table = np.empty((cells.shape[1] // width, width, len(cells) + 1), np.uint8)  # row, column, position
+        table[..., :-1] = cells.reshape(len(cells), width, -1).T
+        table[..., -1] = [ord(",")] * (width - 1) + [ord("\n")]  # the separator after each cell
+        del cells  # before the join makes its two copies of the table
+        text.append(table.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(text)
 
 
-#: Shortest table ``_write_csv`` formats with array arithmetic.  The array
-#: passes' fixed cost makes them slower than CPython's per-value ``%`` up to
-#: about 1500 rows of a spectrum and 2048-2560 rows of a 4-column scan table
-#: (0.6x its time from 3072); their first use in a process also pages in
-#: about 0.6 MB of numpy code, not worth a smaller saving.
-_ARRAY_CSV_ROWS = 2048
-#: Rows formatted at once; bounds the formatter's scratch arrays.
-_CSV_BLOCK_ROWS = 4096
+#: Shortest table ``_write_csv`` formats with array arithmetic.  Both paths
+#: break even at about 192 rows; from 256 the array path takes 0.8-0.9x the
+#: time of the per-value ``%`` and from 1024 about 0.5x (``BENCH_20.json``).
+_ARRAY_CSV_ROWS = 256
+#: Cells formatted at once, which bounds the scratch beyond the output (0.34
+#: MiB at most; 0.69 MiB at 8192 cells, no faster from 4096 rows on).
+_CSV_BLOCK_CELLS = 4096
 #: 10 ** (11 - X) for the decimal exponents X = _EXP_MIN ... _EXP_MAX, each
 #: correctly rounded (parsed from its decimal string) and a normal float.
 _EXP_MIN, _EXP_MAX = -296, 308
@@ -386,31 +382,39 @@ _SCALE = np.array([float(f"1e{11 - x}") for x in range(_EXP_MIN, _EXP_MAX + 1)])
 #: Smallest distance of a scaled value's fraction from one half that proves
 #: its rounding; see ``_g12_mantissas``.
 _TIE_MARGIN = 1e-3
-_PLACES = (10 ** np.arange(6, -1, -1, dtype=np.int32))[:, None]
-_INDEX = np.arange(12)[:, None]  # digit positions, down the rows
-_ZERO, _POINT, _MINUS, _PLUS = (np.uint8(ord(c)) for c in "0.-+")
-#: Rows of a ``%.12g`` cell: sign, "0." and three zeros (fixed notation
-#: below 1), twelve digits each followed by a possible point, and "e", the
-#: exponent's sign and three exponent digits.
+#: The four ASCII digits of 0 ... 9999 in one uint32 each, built from "00" ...
+#: "99" to keep import-time scratch small, and how many are trailing zeros.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+_DIGITS4 = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
+_TRAILING4 = np.zeros(10**4, np.uint8)
+for _power in (10, 100, 1000, 10**4):
+    _TRAILING4[::_power] += 1  # a multiple of 10**k ends in at least k zeros
+#: Masks keeping the first k of twelve packed digits, k = 0 ... 12.
+_KEEP = np.frombuffer(b"".join(b"\xff" * k + bytes(12 - k) for k in range(13)), np.uint32).reshape(13, 3)
+#: What a cell has between its sign and digits, and after its digits, per
+#: exponent X = _EXP_MIN ... _EXP_MAX + 1: "0." and -X - 1 zeros for
+#: -4 <= X < 0; "e±XX" outside -4 <= X < 12.  Five zero-padded bytes each,
+#: stored one row per byte so that a gather gives position-major rows.
+_AFFIXES = np.array(
+    [
+        ("0." + "0" * (-x - 1) if -4 <= x < 0 else "", "" if -4 <= x < 12 else f"e{x:+03d}")
+        for x in range(_EXP_MIN, _EXP_MAX + 2)
+    ],
+    "S5",
+).view(np.uint8).reshape(-1, 10).T.copy()
+#: Rows of a cell: sign, five bytes before the digits, twelve digits each followed by a possible point, five after.
 _G12_ROWS = 34
 
 
-def _digits(q: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` lowest decimal digits of nonnegative integers ``q``, most significant first.
-
-    ``q`` is split into int32 chunks of up to seven digits; a chunk's digits
-    come from one division per place and one subtraction.  Returns a
-    (count, len(q)) uint8 array.
-    """
-    chunks = []
-    while count > 0:
-        places = min(count, 7)
-        q, low = np.divmod(q, 10**places)
-        digits = low.astype(np.int32) // _PLACES[-places:]
-        digits[1:] -= 10 * digits[:-1]
-        chunks.insert(0, digits)
-        count -= places
-    return np.concatenate(chunks).astype(np.uint8)
+def _digits(mantissa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The twelve ASCII digits of each mantissa as (len(mantissa), 3) uint32, and how many are trailing zeros."""
+    upper = mantissa // 10**4
+    low = mantissa - upper * 10**4
+    high = upper // 10**4
+    middle = upper - high * 10**4
+    packed = np.stack((_DIGITS4[high], _DIGITS4[middle], _DIGITS4[low]), axis=1)
+    trailing = _TRAILING4[low] + (low == 0) * (_TRAILING4[middle] + (middle == 0) * _TRAILING4[high])
+    return packed, trailing
 
 
 def _g12_mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,7 +436,7 @@ def _g12_mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         exponent = np.floor(np.log10(magnitude))
     proven = (exponent >= _EXP_MIN) & (exponent <= _EXP_MAX) | zero
-    exponent = np.where(proven & ~zero, exponent, 0.0).astype(np.int64)
+    exponent = np.where(proven & ~zero, exponent, 0.0).astype(np.int16)
     scaled = np.where(proven, magnitude, 0.0) * _SCALE[exponent - _EXP_MIN]
     mantissa = np.rint(scaled)
     proven &= (np.abs(scaled - np.floor(scaled) - 0.5) > _TIE_MARGIN) & ((scaled >= 1e11) & (mantissa <= 1e12) | zero)
@@ -442,37 +446,29 @@ def _g12_mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _g12_cells(x: np.ndarray) -> np.ndarray:
-    """``'%.12g' % v`` for each value ``v`` of ``x``, as a (_G12_ROWS, len(x)) position-major byte array.
+    """``'%.12g' % v`` for each value ``v`` of ``x``: row i holds character position i of every cell.
 
-    Fixed notation for exponents -4 <= X < 12, else ``e±XX``; trailing zeros
-    of the fraction and a bare point are dropped, as ``%g`` does.  The
-    values ``_g12_mantissas`` does not prove are written by one ``%`` for all.
+    A zero byte marks a position a cell does not use, and only the rows some
+    cell uses are returned.  Fixed notation for exponents -4 <= X < 12, else
+    ``e±XX``; trailing zeros of the fraction and a bare point are dropped, as
+    ``%g`` does.  Values ``_g12_mantissas`` does not prove are written by ``%``.
     """
     exponent, mantissa, proven = _g12_mantissas(np.asarray(x, dtype=float))
-    digits = _digits(mantissa, 12)
-    nonzero_from = digits != 0  # then: some digit at index i or later is nonzero
-    for i in range(10, -1, -1):
-        nonzero_from[i] |= nonzero_from[i + 1]
-    fixed = (exponent >= -4) & (exponent < 12)
-    below_one = fixed & (exponent < 0)
-    point = np.where(fixed, exponent, 0)  # index of the digit the point follows
-    sci = ~fixed
+    digits, trailing = _digits(mantissa)
+    point = np.where((exponent >= -4) & (exponent < 12), exponent, 0)  # the digit the point follows, if >= 0
+    kept = np.maximum(12 - trailing, point + 1)
+    digits &= np.take(_KEEP, kept, axis=0)
     cells = np.empty((_G12_ROWS, len(x)), np.uint8)
-    cells[0] = np.signbit(x) * _MINUS
-    cells[1] = below_one * _ZERO
-    cells[2] = below_one * _POINT
-    cells[3:6] = (below_one & (exponent <= -_INDEX[2:5])) * _ZERO  # "0.0", "0.00", "0.000"
-    cells[6:29:2] = (digits + _ZERO) * (nonzero_from | (_INDEX <= point))
-    cells[7:29:2] = ((_INDEX[:11] == point) & nonzero_from[1:]) * _POINT
-    cells[29] = sci * np.uint8(ord("e"))
-    cells[30] = np.where(exponent < 0, _MINUS, _PLUS) * sci
-    size = np.abs(exponent)
-    cells[31:] = (_digits(size, 3) + _ZERO) * np.stack((sci & (size >= 100), sci, sci))
+    cells[0] = np.signbit(x) * ord("-")
+    cells[1:6], cells[29:] = np.take(_AFFIXES, exponent - _EXP_MIN, axis=1).reshape(2, 5, -1)
+    cells[6:29:2] = digits.view(np.uint8).T
+    cells[7:29:2] = 0
+    fraction = np.flatnonzero((point >= 0) & (kept > point + 1))
+    cells[7 + 2 * point[fraction], fraction] = ord(".")
     redo = np.flatnonzero(~proven)
     if redo.size:
         text = ("%.12g\n" * redo.size) % tuple(x[redo].tolist())
-        strings = np.array(text.split(), dtype=f"S{_G12_ROWS}")
-        cells[:, redo] = strings.view(np.uint8).reshape(redo.size, _G12_ROWS).T
+        cells[:, redo] = np.array(text.split(), dtype=f"S{_G12_ROWS}").view(np.uint8).reshape(-1, _G12_ROWS).T
     return cells[cells.any(axis=1)]
 
 

@@ -436,7 +436,34 @@ class TestInvalidInput:
             (
                 "[fringe]\nvisibility_n2 = 0.0",
                 ["--noiseless", "fringe"],
-                "[fringe] visibility_n2 = 0: scan shows no fringe",
+                "[fringe] visibility_n2 = 0, rate_hz = 600, t_bin_s = 1, phase_min_rad = 0, phase_max_rad = 6.28319: "
+                "scan shows no fringe",
+            ),
+            # A failed fit names every key its data depends on, not only the visibility.
+            (
+                "[fringe]\nphase_max_rad = 1e300",
+                ["fringe"],
+                "[fringe] visibility_n1 = 0.9751, rate_hz = 600, t_bin_s = 1, phase_min_rad = 0, "
+                "phase_max_rad = 1e+300: fringe fit failed",
+            ),
+            (
+                "[fringe]\nrate_hz = 1e-300",
+                ["fringe"],
+                "[fringe] visibility_n1 = 0.9751, rate_hz = 1e-300, t_bin_s = 1, phase_min_rad = 0, "
+                "phase_max_rad = 6.28319: scan shows no fringe",
+            ),
+            # A pinned poling period is named with the crystal whose spectrum fails.
+            (
+                "[source_crystal]\npoling_um = 1e-300",
+                ["spectra"],
+                "[source_crystal] spectrum with length_mm = 20, poling_um = 1e-300: "
+                "cannot normalize an all-zero density",
+            ),
+            (
+                "[converter_crystal]\npoling_um = 1e-300",
+                ["spectra"],
+                "[converter_crystal] spectrum with length_mm = 20, poling_um = 1e-300: "
+                "cannot normalize an all-zero density",
             ),
             # Building a scan fails: the prefix names the scan's section and keys.
             (
@@ -512,6 +539,10 @@ class TestInvalidInput:
             "hom",
             "bunching",
             "fringe",
+            "fringe-phase_max_rad-fit",
+            "fringe-rate_hz-fit",
+            "source_crystal-poling_um",
+            "converter_crystal-poling_um",
             "hom-gamma",
             "hom-gamma_upconverted",
             "bunching-gamma",

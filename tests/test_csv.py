@@ -3,7 +3,8 @@
 The writer formats long tables with array arithmetic; on every table, of
 either layout, on both sides of the crossover to that path and with counts
 on both sides of 10**12, it must give exactly the bytes of the per-row
-``row_format % row``.
+``row_format % row``, holding no more than one block's scratch besides
+its output.
 
 The reader parses a table with one ``np.loadtxt`` call.  Every read must
 give the arrays of per-cell ``float()`` and ``int()`` bit for bit, or name
@@ -11,6 +12,7 @@ the first line they reject; cells with ``_`` or non-ASCII digits, which
 those accept, count as rejected.
 """
 
+import tracemalloc
 import warnings
 from itertools import zip_longest
 
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from noonsim.spectral import _ARRAY_CSV_ROWS, _CSV_BLOCK_ROWS, _g12_mantissas, _read_csv, _write_csv
+from noonsim import Spectrum, noon_fringe
+from noonsim.spectral import _ARRAY_CSV_ROWS, _CSV_BLOCK_CELLS, _g12_mantissas, _read_csv, _write_csv
 
 # (header, column types) as Spectrum.from_csv and ScanResult.from_csv read them.
 TABLES = (
@@ -163,8 +166,15 @@ LAYOUTS = (
     ("wavelength_nm,density", "%.12g,%.12g\n"),
     ("param,expected,counts,sigma", "%.12g,%.12g,%d,%.12g\n"),
 )
-# Below the crossover, at it, and past one block of array formatting.
-ROW_COUNTS = (1, _ARRAY_CSV_ROWS - 1, _ARRAY_CSV_ROWS, _CSV_BLOCK_ROWS + 7)
+
+
+def block_rows(layout):
+    """Rows of one array-formatted block of ``layout``'s table."""
+    return _CSV_BLOCK_CELLS // len(layout[0].split(","))
+
+
+# Below the crossover, at it, and past one block of array formatting in either layout.
+ROW_COUNTS = (1, _ARRAY_CSV_ROWS - 1, _ARRAY_CSV_ROWS, *(block_rows(layout) + 7 for layout in LAYOUTS))
 
 
 def layout_columns(layout, floats, counts, rows):
@@ -212,8 +222,8 @@ ALL_EDGES = np.concatenate((*EDGES, *(-edges for edges in EDGES))).tolist()
     st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
     st.sampled_from(ROW_COUNTS),
 )
-@example(LAYOUTS[0], ALL_EDGES, [0], _CSV_BLOCK_ROWS + 7)
-@example(LAYOUTS[1], ALL_EDGES, [0, 7, 10, 99], _CSV_BLOCK_ROWS + 7)
+@example(LAYOUTS[0], ALL_EDGES, [0], block_rows(LAYOUTS[0]) + 7)
+@example(LAYOUTS[1], ALL_EDGES, [0, 7, 10, 99], block_rows(LAYOUTS[1]) + 7)
 # Counts below 10**12 in magnitude take the array path; from 10**12, whose
 # %.12g is 1e+12, the table falls back to % (also at -2**63, where abs overflows).
 @example(LAYOUTS[1], ALL_EDGES, [999_999_999_999, -999_999_999_999, -1, 0], _ARRAY_CSV_ROWS)
@@ -229,3 +239,27 @@ def test_near_ties_take_the_fallback_and_carries_do_not():
     assert not _g12_mantissas(NEAR_TIES)[2].any()
     assert _g12_mantissas(CARRIES)[2].all()
 
+
+# What the array path may hold beyond its output and the join of its
+# blocks: one block's scratch arrays, with headroom.  It holds about
+# 0.3 MiB; blocks of 16384 cells would leave about 1.4 MiB on the scan.
+SCRATCH_ALLOWANCE = 0.75 * 2**20
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: noon_fringe(2, 0.8493, np.linspace(0.0, 4.0 * np.pi, 4096), 120.0, 1.0, 7),
+        lambda: Spectrum(np.linspace(1539.0, 1555.0, 16384), np.exp(-np.linspace(-4.0, 4.0, 16384) ** 2)),
+    ],
+    ids=["scan-4096", "spectrum-16384"],
+)
+def test_writer_scratch_stays_within_one_block(make):
+    table = make()
+    tracemalloc.start()
+    try:
+        text = table.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * len(text) < SCRATCH_ALLOWANCE, (peak, len(text))
