@@ -224,6 +224,31 @@ def _coerce(raw: str, hint: object) -> object:
 
 #: Config section, process and crystal type of each crystal, the source first.
 _CRYSTALS = (("source_crystal", "spdc", "type-II"), ("converter_crystal", "sfg", "type-I"))
+#: The fields each spectrum depends on beyond the grid: its crystal's length and pinned poling period.
+_EMISSION_KEYS = ("spdc_length_mm", "spdc_poling_um")
+_ACCEPTANCE_KEYS = ("sfg_length_mm", "sfg_poling_um")
+#: RunConfig field name -> (section, key).
+_KEYS = {name: section_key for section_key, (name, _) in _SCHEMA.items()}
+
+
+@contextmanager
+def _naming(cfg: RunConfig, *fields: str):
+    """Prefix a library error raised in the block with the config keys ``fields`` (RunConfig field names).
+
+    The prefix is one ``[section] key = value, ...`` group per section, in the order the fields are
+    given: a stage names the keys whose values reach it.
+    """
+    try:
+        yield
+    except (sp.SpectralError, xp.FitError, ValueError) as exc:
+        groups: dict[str, list[str]] = {}
+        for field in fields:
+            section, key = _KEYS[field]
+            value = getattr(cfg, field)
+            text = "none" if value is None else f"{value:g}" if isinstance(value, float) else value
+            groups.setdefault(section, []).append(f"{key} = {text}")
+        prefix = ", ".join(f"[{section}] " + ", ".join(pairs) for section, pairs in groups.items())
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
@@ -233,74 +258,63 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
     for section, process, crystal_type in _CRYSTALS:
         prefix = _SECTIONS[section]
         pump_nm, signal_nm, poling_um = (getattr(cfg, prefix + key) for key in ("pump_nm", "signal_nm", "poling_um"))
-        got = f"got pump_nm = {pump_nm}, signal_nm = {signal_nm}"
-        if process == "spdc":
-            if not 0.0 < pump_nm < signal_nm:
-                raise ConfigError(f"[{section}] needs 0 < pump_nm < signal_nm, {got}")
-            targets = (pump_nm, signal_nm, 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
-        else:
-            if not (pump_nm > 0.0 and signal_nm > 0.0):
-                raise ConfigError(f"[{section}] pump_nm and signal_nm must be positive, {got}")
-            targets = (1.0 / (1.0 / pump_nm + 1.0 / signal_nm), pump_nm, signal_nm)
-        crystal = sp.CrystalSpec(
-            length_mm=getattr(cfg, prefix + "length_mm"),
-            poling_period_um=1.0 if poling_um is None else poling_um,
-            process=process,
-            crystal_type=crystal_type,
-            axes={role: getattr(cfg, f"{prefix}{role}_axis") for role in sp.WAVE_ORDER[process]},
-            dispersion=dispersion,
-        )
-        if poling_um is None:
-            with _naming(f"[{section}] pump_nm = {pump_nm:g}, signal_nm = {signal_nm:g}"):
+        axes = {role: f"{prefix}{role}_axis" for role in sp.WAVE_ORDER[process]}
+        with _naming(cfg, prefix + "length_mm", prefix + "poling_um", *axes.values()):
+            crystal = sp.CrystalSpec(
+                length_mm=getattr(cfg, prefix + "length_mm"),
+                poling_period_um=1.0 if poling_um is None else poling_um,
+                process=process,
+                crystal_type=crystal_type,
+                axes={role: getattr(cfg, field) for role, field in axes.items()},
+                dispersion=dispersion,
+            )
+        with _naming(cfg, prefix + "pump_nm", prefix + "signal_nm"):
+            if process == "spdc":
+                if not 0.0 < pump_nm < signal_nm:
+                    raise ValueError("need 0 < pump_nm < signal_nm")
+                targets = (pump_nm, signal_nm, 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
+            else:
+                if not (pump_nm > 0.0 and signal_nm > 0.0):
+                    raise ValueError("pump_nm and signal_nm must be positive")
+                targets = (1.0 / (1.0 / pump_nm + 1.0 / signal_nm), pump_nm, signal_nm)
+            if poling_um is None:
                 crystal = sp.with_solved_poling(crystal, targets)
         crystals.append(crystal)
     return tuple(crystals)
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid_points < 3:
-        raise ConfigError(f"[grid] points must be at least 3, got {cfg.grid_points}")
-    if not 0.0 < cfg.grid_span_nm < math.inf:
-        raise ConfigError(f"[grid] span_nm must be positive and finite, got {cfg.grid_span_nm}")
-    half = cfg.grid_span_nm / 2.0
-    shortest = cfg.spdc_signal_nm - half
-    if not shortest > cfg.spdc_pump_nm:
-        raise ConfigError(
-            f"[grid] span_nm = {cfg.grid_span_nm:g} puts the shortest wavelength at {shortest:g} nm, "
-            f"which must exceed [source_crystal] pump_nm = {cfg.spdc_pump_nm:g}"
-        )
-    grid = np.linspace(shortest, cfg.spdc_signal_nm + half, cfg.grid_points)
-    # A span too narrow for float64 to resolve gives a grid that no Spectrum accepts.
-    with _naming(f"[grid] points = {cfg.grid_points}, span_nm = {cfg.grid_span_nm:g}"):
+    """The wavelength grid centred on the source's signal; it must stay above the source's pump."""
+    with _naming(cfg, "grid_points", "grid_span_nm", "spdc_pump_nm", "spdc_signal_nm"):
+        if not cfg.grid_span_nm > 0.0:
+            raise ValueError("span_nm must be positive")
+        half = cfg.grid_span_nm / 2.0
+        shortest = cfg.spdc_signal_nm - half
+        if not shortest > cfg.spdc_pump_nm:
+            raise ValueError(f"span_nm puts the shortest wavelength at {shortest:g} nm, which must exceed pump_nm")
+        grid = np.linspace(shortest, cfg.spdc_signal_nm + half, cfg.grid_points)
+        # Spectrum rejects a grid of under 3 points, or a span too narrow for float64 to resolve.
         sp.Spectrum(grid, np.zeros_like(grid))
     return grid
 
 
-@contextmanager
-def _naming(prefix: str, errors: tuple[type[Exception], ...] = (sp.SpectralError, ValueError)):
-    """Prefix an error of a type in ``errors`` raised in the block with ``prefix``, which names the config key at fault.
-
-    The spectral code's messages do not say which crystal or grid key they came from.
-    """
-    try:
-        yield
-    except errors as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
+def _axis(cfg: RunConfig, low: str, high: str, points: str) -> np.ndarray:
+    """A scan axis over the config fields ``low`` to ``high`` in ``points`` steps, its width finite."""
+    with _naming(cfg, low, high, points):
+        if not math.isfinite(getattr(cfg, high) - getattr(cfg, low)):
+            raise ValueError("the scan range's width must be finite")
+    return np.linspace(getattr(cfg, low), getattr(cfg, high), getattr(cfg, points))
 
 
 def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.CrystalSpec, sp.CrystalSpec]:
     spdc, sfg = _build_crystals(cfg)
     grid = _grid(cfg)
-    # A failed spectrum names its crystal's length and any pinned poling period.
-    spdc_pinned, sfg_pinned = (
-        "" if um is None else f", poling_um = {um:g}" for um in (cfg.spdc_poling_um, cfg.sfg_poling_um)
-    )
-    with _naming(f"[source_crystal] spectrum with length_mm = {spdc.length_mm:g}{spdc_pinned}"):
+    with _naming(cfg, *_EMISSION_KEYS):
         emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
     if cfg.grid_unit_acceptance:
         acceptance = sp.Spectrum(grid, np.ones_like(grid))
     else:
-        with _naming(f"[converter_crystal] spectrum with length_mm = {sfg.length_mm:g}{sfg_pinned}"):
+        with _naming(cfg, *_ACCEPTANCE_KEYS):
             acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
     filtered = sp.filtered_spectrum(emission, acceptance)
     return emission, acceptance, filtered, spdc, sfg
@@ -339,15 +353,15 @@ def read_summary(text: str) -> dict[str, str]:
 def cmd_spectra(cfg: RunConfig) -> dict[str, str]:
     emission, acceptance, filtered, spdc, sfg = _spectra(cfg)
 
-    def fwhm(name: str, spectrum: sp.Spectrum) -> float:
-        with _naming(f"[grid] span_nm = {cfg.grid_span_nm:g}, FWHM of the {name} spectrum"):
+    def fwhm(spectrum: sp.Spectrum, *keys: str) -> float:
+        with _naming(cfg, "grid_points", "grid_span_nm", *keys):
             return sp.fwhm(spectrum)
 
     summary = _summary(
         [
-            ("emission_fwhm_nm", fwhm("emission", emission)),
-            ("acceptance_fwhm_nm", fwhm("acceptance", acceptance) if not cfg.grid_unit_acceptance else float("nan")),
-            ("filtered_fwhm_nm", fwhm("filtered", filtered)),
+            ("emission_fwhm_nm", fwhm(emission, *_EMISSION_KEYS)),
+            ("acceptance_fwhm_nm", fwhm(acceptance, *_ACCEPTANCE_KEYS) if not cfg.grid_unit_acceptance else math.nan),
+            ("filtered_fwhm_nm", fwhm(filtered, *_EMISSION_KEYS, *_ACCEPTANCE_KEYS)),
             ("emission_clipped", emission.clipped),
             ("acceptance_clipped", acceptance.clipped),
             ("filtered_clipped", filtered.clipped),
@@ -365,42 +379,28 @@ def cmd_spectra(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_hom(cfg: RunConfig) -> dict[str, str]:
     emission, _, filtered, _, _ = _spectra(cfg)
-    rate = f"rate_hz = {cfg.hom_rate_hz:g}, t_bin_s = {cfg.hom_t_bin_s:g}"
-    delays = np.linspace(cfg.hom_delay_min_mm, cfg.hom_delay_max_mm, cfg.hom_delay_points)
-    with _naming(f"[hom] gamma = {cfg.hom_gamma:g}, delay_points = {cfg.hom_delay_points}, {rate}"):
-        source = xp.hom_scan(
-            emission, cfg.hom_gamma, delays, cfg.hom_rate_hz, cfg.hom_t_bin_s, cfg.seed, cfg.noiseless
-        )
-    up_delays = np.linspace(cfg.hom_up_delay_min_mm, cfg.hom_up_delay_max_mm, cfg.hom_up_delay_points)
-    up = f"gamma_upconverted = {cfg.hom_gamma_upconverted:g}, up_delay_points = {cfg.hom_up_delay_points}"
-    with _naming(f"[hom] {up}, {rate}"):
-        upconverted = xp.hom_scan(
-            filtered,
-            cfg.hom_gamma_upconverted,
-            up_delays,
-            cfg.hom_rate_hz,
-            cfg.hom_t_bin_s,
-            cfg.seed + 1,
-            cfg.noiseless,
-        )
-    with _naming(f"[hom] {rate}"):
-        vis_source, vis_upconverted = xp.dip_visibility(source), xp.dip_visibility(upconverted)
-    summary = _summary(
-        [
-            ("gamma_source", cfg.hom_gamma),
-            ("gamma_upconverted", cfg.hom_gamma_upconverted),
-            ("visibility_source", vis_source),
-            ("visibility_upconverted", vis_upconverted),
-        ]
-    )
-    return {"hom_source.csv": source.to_csv(), "hom_upconverted.csv": upconverted.to_csv(), "hom_summary.txt": summary}
+    files, visibilities = {}, []
+    for name, spectrum, gamma, stem, shift in (
+        ("source", emission, "hom_gamma", "hom_delay", 0),
+        ("upconverted", filtered, "hom_gamma_upconverted", "hom_up_delay", 1),
+    ):
+        axis = (f"{stem}_min_mm", f"{stem}_max_mm", f"{stem}_points")
+        delays = _axis(cfg, *axis)
+        with _naming(cfg, gamma, *axis, "hom_rate_hz", "hom_t_bin_s"):
+            scan = xp.hom_scan(
+                spectrum, getattr(cfg, gamma), delays, cfg.hom_rate_hz, cfg.hom_t_bin_s, cfg.seed + shift, cfg.noiseless
+            )
+            visibilities.append((f"visibility_{name}", xp.dip_visibility(scan)))
+        files[f"hom_{name}.csv"] = scan.to_csv()
+    gammas = [("gamma_source", cfg.hom_gamma), ("gamma_upconverted", cfg.hom_gamma_upconverted)]
+    return files | {"hom_summary.txt": _summary(gammas + visibilities)}
 
 
 def cmd_bunching(cfg: RunConfig) -> dict[str, str]:
     emission, _, _, _, _ = _spectra(cfg)
-    delays = np.linspace(cfg.bunching_delay_min_mm, cfg.bunching_delay_max_mm, cfg.bunching_delay_points)
-    rate = f"rate_hz = {cfg.bunching_rate_hz:g}, t_bin_s = {cfg.bunching_t_bin_s:g}"
-    with _naming(f"[bunching] gamma = {cfg.bunching_gamma:g}, delay_points = {cfg.bunching_delay_points}, {rate}"):
+    axis = ("bunching_delay_min_mm", "bunching_delay_max_mm", "bunching_delay_points")
+    delays = _axis(cfg, *axis)
+    with _naming(cfg, "bunching_gamma", *axis, "bunching_rate_hz", "bunching_t_bin_s"):
         scan = xp.bunching_scan(
             cfg.bunching_gamma,
             delays,
@@ -410,43 +410,36 @@ def cmd_bunching(cfg: RunConfig) -> dict[str, str]:
             spectrum=emission,
             noiseless=cfg.noiseless,
         )
-    with _naming(f"[bunching] {rate}"):
         ratio = xp.peak_to_baseline_ratio(scan)
     summary = _summary([("gamma", cfg.bunching_gamma), ("peak_to_baseline_ratio", ratio)])
     return {"bunching.csv": scan.to_csv(), "bunching_summary.txt": summary}
 
 
 def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
-    prefix = {"phase": "phase", "plate": "plate_tilt"}.get(cfg.fringe_axis)
-    if prefix is None:
-        raise ConfigError(f"fringe axis must be 'phase' or 'plate', got {cfg.fringe_axis!r}")
-    low, high = getattr(cfg, f"fringe_{prefix}_min_rad"), getattr(cfg, f"fringe_{prefix}_max_rad")
-    axis = np.linspace(low, high, cfg.fringe_points)
-    span = f"{prefix}_min_rad = {low:g}, {prefix}_max_rad = {high:g}"
-    phases = axis
+    with _naming(cfg, "fringe_axis"):
+        stem = {"phase": "fringe_phase", "plate": "fringe_plate_tilt"}.get(cfg.fringe_axis)
+        if stem is None:
+            raise ValueError("axis must be 'phase' or 'plate'")
+    axis = (f"{stem}_min_rad", f"{stem}_max_rad", "fringe_points")
+    params = phases = _axis(cfg, *axis)
     if cfg.fringe_axis == "plate":
-        plate = (
-            f"plate_thickness_mm = {cfg.fringe_plate_thickness_mm:g}, plate_index = {cfg.fringe_plate_index:g}, "
-            f"wavelength_nm = {cfg.fringe_wavelength_nm:g}"
-        )
-        with _naming(f"[fringe] {span}, {plate}", (ValueError,)):
+        axis += ("fringe_plate_thickness_mm", "fringe_plate_index", "fringe_wavelength_nm")
+        with _naming(cfg, *axis):
             phases = xp.plate_phase(
-                axis, cfg.fringe_plate_thickness_mm * 1e-3, cfg.fringe_plate_index, cfg.fringe_wavelength_nm * 1e-9
+                params, cfg.fringe_plate_thickness_mm * 1e-3, cfg.fringe_plate_index, cfg.fringe_wavelength_nm * 1e-9
             )
 
     files = {}
     reports = {}
-    rate = f"rate_hz = {cfg.fringe_rate_hz:g}, t_bin_s = {cfg.fringe_t_bin_s:g}"
-    for n, vis, seed_shift in ((1, cfg.fringe_visibility_n1, 0), (2, cfg.fringe_visibility_n2, 1)):
-        with _naming(f"[fringe] visibility_n{n} = {vis:g}, points = {cfg.fringe_points}, {rate}"):
+    for n, shift in ((1, 0), (2, 1)):
+        vis = f"fringe_visibility_n{n}"
+        # A scan or fit names every key its data depends on: the plate keys too on the plate axis.
+        with _naming(cfg, vis, *axis, "fringe_rate_hz", "fringe_t_bin_s"):
             scan = xp.noon_fringe(
-                n, vis, phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + seed_shift, cfg.noiseless
+                n, getattr(cfg, vis), phases, cfg.fringe_rate_hz, cfg.fringe_t_bin_s, cfg.seed + shift, cfg.noiseless
             )
-        # A scan too short or too narrow to fit raises ValueError; a fit that fails on the data, FitError.
-        with _naming(f"[fringe] visibility_n{n} = {vis:g}, {rate}, {span}", (xp.FitError,)):
-            with _naming(f"[fringe] points = {cfg.fringe_points}, {span}", (ValueError,)):
-                reports[n] = xp.fit_visibility(scan, n)
-        files[f"fringe_n{n}.csv"] = replace(scan, param=axis).to_csv()
+            reports[n] = xp.fit_visibility(scan, n)
+        files[f"fringe_n{n}.csv"] = replace(scan, param=params).to_csv()
 
     ratio = reports[2].frequency / reports[1].frequency
     verdict = xp.sql_verdict(reports[2].visibility, reports[2].visibility_sigma, 2)

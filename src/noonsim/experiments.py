@@ -179,6 +179,9 @@ class ScanResult:
             raise ValueError("param, expected, and counts must have equal shapes")
         if self.param.size == 0:
             raise ValueError("a scan needs at least one point")
+        for name in ("param", "expected"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} values must be finite")
         if np.any(self.expected < 0):
             raise ValueError("expected rates must be nonnegative")
         if np.any(self.counts < 0):
@@ -336,10 +339,16 @@ def plate_phase(
         raise ValueError("plate tilt must satisfy |tilt| < pi/3")
     if index <= 1.0:
         raise ValueError("plate index must exceed 1")
+    if not math.isfinite(float(index) * float(index)):
+        raise ValueError("plate index squared must be finite")
     if not (thickness_m > 0.0 and wavelength_m > 0.0):
         raise ValueError("plate thickness and wavelength must be positive")
     geometry = np.sqrt(index**2 - np.sin(tilt_rad) ** 2) - np.cos(tilt_rad) - (index - 1.0)
-    return 2.0 * math.pi * thickness_m / wavelength_m * geometry
+    scale = 2.0 * math.pi * thickness_m / wavelength_m
+    # Checked in Python floats: a numpy product that overflows warns before it can be rejected.
+    if not math.isfinite(float(scale) * float(np.max(np.abs(geometry), initial=0.0))):
+        raise ValueError("plate phase must be finite")
+    return scale * geometry
 
 
 # ---------------------------------------------------------------------------

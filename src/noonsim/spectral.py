@@ -637,6 +637,10 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
         weight[-1] = dens[half - 1]
     tau = np.atleast_1d(np.asarray(delays_mm, dtype=float)) / _C_MM_PER_S
     distinct, back = np.unique(np.concatenate(([0.0], np.abs(tau))), return_inverse=True)
+    # distinct[-1] is the largest |delay| (np.unique sorts a NaN last) and omega[0] the largest detuning;
+    # they are multiplied as Python floats because a numpy product that overflows warns first.
+    if not math.isfinite(float(distinct[-1]) * float(omega[0])):
+        raise ValueError("every delay, and its product with the grid's largest detuning, must be finite")
 
     size = math.ceil(math.sqrt(half))
     blocks = (half + size - 1) // size

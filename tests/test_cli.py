@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import typing
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,17 @@ import numpy as np
 import pytest
 
 import noonsim as ns
-from noonsim.cli import _COMMANDS, _DEFAULT_STAGES, _SCHEMA, ConfigError, RunConfig, load_config, main, read_summary
+from noonsim.cli import (
+    _COMMANDS,
+    _DEFAULT_STAGES,
+    _MAX_POINTS,
+    _SCHEMA,
+    ConfigError,
+    RunConfig,
+    load_config,
+    main,
+    read_summary,
+)
 
 
 def run_cli(*args):
@@ -20,6 +31,57 @@ def run_cli(*args):
 
 def summary(path):
     return read_summary(path.read_text())
+
+
+#: The commands that read each section.  The edge sweep runs a key under these and under budget.
+READERS = {
+    "run": tuple(_COMMANDS),
+    "source_crystal": ("spectra", "hom", "bunching"),
+    "converter_crystal": ("spectra", "hom", "bunching"),
+    "grid": ("spectra", "hom", "bunching"),
+    "hom": ("hom",),
+    "bunching": ("bunching",),
+    "fringe": ("fringe",),
+    "budget": (),
+}
+#: (section, min key, max key) of every scan range.
+RANGES = (
+    ("hom", "delay_min_mm", "delay_max_mm"),
+    ("hom", "up_delay_min_mm", "up_delay_max_mm"),
+    ("bunching", "delay_min_mm", "delay_max_mm"),
+    ("fringe", "phase_min_rad", "phase_max_rad"),
+    ("fringe", "plate_tilt_min_rad", "plate_tilt_max_rad"),
+)
+
+
+def edge_cases():
+    """(section, key, config lines) per schema key, its type's edge values, then both ends of each range at +-1e308.
+
+    A seed is any nonnegative integer and the Sellmeier file has its own tests, so neither is swept.  A point
+    count's edges are 0-8 and its cap, except that a fringe at its 10**6-point cap takes about 2 s and 0.5 GB.
+    """
+    for (section, key), (name, hint) in _SCHEMA.items():
+        if name in ("seed", "sellmeier_file"):
+            continue
+        if hint is int:
+            values = [str(n) for n in range(9)] + ([] if name == "fringe_points" else [str(_MAX_POINTS[name])])
+        elif hint is bool:
+            values = ["true", "false"]
+        elif hint is str:
+            values = ["junk", "plate"] if key == "axis" else ["junk"]
+        else:
+            values = ["0", "-1", "1e-300", "1e300", "1e308", "-1e308"]
+            values += ["none"] if type(None) in typing.get_args(hint) else []
+        yield pytest.param(section, key, [f"{key} = {value}" for value in values], id=f"{section}-{key}")
+    for section, low, high in RANGES:
+        lines = [f"{low} = -1e308\n{high} = 1e308", f"{low} = 1e308\n{high} = -1e308"]
+        yield pytest.param(section, low, lines, id=f"{section}-{low}-{high}")
+
+
+def names_key(line, section, key):
+    """Whether an error line names ``key`` in its ``[section] key = value, ...`` group, or is a bad-value error."""
+    group = rf"\[{section}\] (\w+ = [^,:\[]*, )*{key} = "
+    return bool(re.search(group, line)) or f"bad value for [{section}] {key}:" in line
 
 
 class TestConfig:
@@ -250,6 +312,26 @@ class TestInvalidInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("noonsim: error:")
 
+    @pytest.mark.parametrize(("section", "key", "lines"), list(edge_cases()))
+    def test_edge_value_ends_in_a_run_or_one_error_naming_its_key(self, tmp_path, capsys, section, key, lines):
+        plate = section == "fringe" and key.startswith(("plate", "wavelength"))
+        cfg = tmp_path / "run.cfg"
+        for i, line in enumerate(lines):
+            cfg.write_text(f"[{section}]\n" + ("axis = plate\n" if plate else "") + f"{line}\n")
+            for command in dict.fromkeys(READERS[section] + ("budget",)):
+                out = tmp_path / f"o{i}-{command}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    status = run_cli("--config", str(cfg), "--out", str(out), command)
+                err = capsys.readouterr().err.splitlines()
+                case = (command, line, err)
+                assert status in (0, 1), case
+                if status == 0:
+                    assert not err, case
+                    continue
+                assert len(err) == 1 and err[0].startswith("noonsim: error: ") and not out.exists(), case
+                assert section in ("run", "budget") or names_key(err[0], section, key), case
+
     @pytest.mark.parametrize(
         ("section", "length"), [("source_crystal", "1e200"), ("converter_crystal", "1e300"), ("source_crystal", "1e308")]
     )
@@ -261,21 +343,49 @@ class TestInvalidInput:
             assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), "spectra") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"noonsim: error: [{section}] spectrum with length_mm = {float(length):g}: ")
+        assert err[0].startswith(f"noonsim: error: [{section}] length_mm = {float(length):g}, poling_um = none: ")
 
     @pytest.mark.parametrize("command", ["spectra", "hom", "bunching"])
     @pytest.mark.parametrize(
         ("grid", "message"),
         [
-            ("span_nm = 2000", "span_nm = 2000 puts the shortest wavelength at 547 nm, which must exceed"),
-            ("span_nm = 1547", "span_nm = 1547 puts the shortest wavelength at 773.5 nm, which must exceed"),
-            ("points = 2", "points must be at least 3, got 2"),
-            ("points = 0\nunit_acceptance = true", "points must be at least 3, got 0"),
+            (
+                "span_nm = 2000",
+                "[grid] points = 4096, span_nm = 2000, [source_crystal] pump_nm = 773.5, signal_nm = 1547: "
+                "span_nm puts the shortest wavelength at 547 nm, which must exceed pump_nm",
+            ),
+            (
+                "span_nm = 1547",
+                "[grid] points = 4096, span_nm = 1547, [source_crystal] pump_nm = 773.5, signal_nm = 1547: "
+                "span_nm puts the shortest wavelength at 773.5 nm, which must exceed pump_nm",
+            ),
+            (
+                "points = 2",
+                "[grid] points = 2, span_nm = 16, [source_crystal] pump_nm = 773.5, signal_nm = 1547: "
+                "grid needs at least 3 points",
+            ),
+            (
+                "points = 0\nunit_acceptance = true",
+                "[grid] points = 0, span_nm = 16, [source_crystal] pump_nm = 773.5, signal_nm = 1547: "
+                "grid needs at least 3 points",
+            ),
             # Only spectra reports FWHMs; hom and bunching run on the clipped spectra.
-            ("span_nm = 0.5", "span_nm = 0.5, FWHM of the emission spectrum: half height not crossed on the left side"),
+            (
+                "span_nm = 0.5",
+                "[grid] points = 4096, span_nm = 0.5, [source_crystal] length_mm = 20, poling_um = none: "
+                "half height not crossed on the left side of the grid",
+            ),
             # Spans too narrow for float64 to resolve around 1547 nm.
-            ("span_nm = 1e-9", "points = 4096, span_nm = 1e-09: grid must be uniform"),
-            ("span_nm = 1e-300", "points = 4096, span_nm = 1e-300: grid must be strictly increasing"),
+            (
+                "span_nm = 1e-9",
+                "[grid] points = 4096, span_nm = 1e-09, [source_crystal] pump_nm = 773.5, signal_nm = 1547: "
+                "grid must be uniform",
+            ),
+            (
+                "span_nm = 1e-300",
+                "[grid] points = 4096, span_nm = 1e-300, [source_crystal] pump_nm = 773.5, signal_nm = 1547: "
+                "grid must be strictly increasing",
+            ),
         ],
     )
     def test_grid_error_names_its_key(self, tmp_path, capsys, command, grid, message):
@@ -283,13 +393,11 @@ class TestInvalidInput:
         cfg.write_text(f"[grid]\n{grid}\n")
         status = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command)
         err = capsys.readouterr().err.splitlines()
-        if "FWHM" in message and command != "spectra":
+        if "half height" in message and command != "spectra":
             assert status == 0 and not err
             return
         assert status == 1
-        assert len(err) == 1 and err[0].startswith(f"noonsim: error: [grid] {message}"), err
-        if "must exceed" in message:
-            assert err[0].endswith(" [source_crystal] pump_nm = 773.5")
+        assert err == [f"noonsim: error: {message}"]
 
     @pytest.mark.parametrize("command", ["spectra", "hom", "bunching"])
     @pytest.mark.parametrize(
@@ -316,32 +424,42 @@ class TestInvalidInput:
     @pytest.mark.parametrize(
         ("config", "message"),
         [
-            ("points = 4", "[fringe] points = 4, phase_min_rad = 0, phase_max_rad = 6.28319: need at least 8 scan points"),
-            ("phase_max_rad = 1", "[fringe] points = 96, phase_min_rad = 0, phase_max_rad = 1: scan must span"),
+            (
+                "points = 4",
+                "[fringe] visibility_n1 = 0.9751, phase_min_rad = 0, phase_max_rad = 6.28319, points = 4, "
+                "rate_hz = 600, t_bin_s = 1: need at least 8 scan points",
+            ),
+            (
+                "phase_max_rad = 1",
+                "[fringe] visibility_n1 = 0.9751, phase_min_rad = 0, phase_max_rad = 1, points = 96, "
+                "rate_hz = 600, t_bin_s = 1: scan must span",
+            ),
             (
                 "axis = plate\nplate_tilt_max_rad = 0.03",
-                "[fringe] points = 96, plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.03: scan must span",
+                "[fringe] visibility_n1 = 0.9751, plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.03, points = 96, "
+                "plate_thickness_mm = 0.2, plate_index = 1.5, wavelength_nm = 525.135, rate_hz = 600, t_bin_s = 1: "
+                "scan must span",
             ),
             (
                 "axis = plate\nplate_index = 0.9",
-                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, "
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, points = 96, "
                 "plate_thickness_mm = 0.2, plate_index = 0.9, wavelength_nm = 525.135: "
                 "plate index must exceed 1",
             ),
             (
                 "axis = plate\nplate_tilt_max_rad = 1.2",
-                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 1.2, plate_thickness_mm = 0.2, "
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 1.2, points = 96, plate_thickness_mm = 0.2, "
                 "plate_index = 1.5, wavelength_nm = 525.135: plate tilt must satisfy |tilt| < pi/3",
             ),
             (
                 "axis = plate\nwavelength_nm = 0",
-                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, "
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, points = 96, "
                 "plate_thickness_mm = 0.2, plate_index = 1.5, wavelength_nm = 0: "
                 "plate thickness and wavelength must be positive",
             ),
             (
                 "axis = plate\nplate_thickness_mm = 0",
-                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, "
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, points = 96, "
                 "plate_thickness_mm = 0, plate_index = 1.5, wavelength_nm = 525.135: "
                 "plate thickness and wavelength must be positive",
             ),
@@ -426,112 +544,159 @@ class TestInvalidInput:
     @pytest.mark.parametrize(
         ("config", "args", "message"),
         [
-            ("[grid]\nspan_nm = 0.5", ["spectra"], "[grid] span_nm = 0.5, FWHM of the emission spectrum: "),
-            ("[hom]\nrate_hz = 1e-9", ["hom"], "[hom] rate_hz = 1e-09, t_bin_s = 1: baseline is not positive"),
+            (
+                "[grid]\nspan_nm = 0.5",
+                ["spectra"],
+                "[grid] points = 4096, span_nm = 0.5, [source_crystal] length_mm = 20, poling_um = none: ",
+            ),
+            (
+                "[hom]\nrate_hz = 1e-9",
+                ["hom"],
+                "[hom] gamma = 0.979, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 1e-09, "
+                "t_bin_s = 1: baseline is not positive",
+            ),
             (
                 "[bunching]\nrate_hz = 1e-9",
                 ["bunching"],
-                "[bunching] rate_hz = 1e-09, t_bin_s = 1: baseline is not positive",
+                "[bunching] gamma = 1, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 1e-09, "
+                "t_bin_s = 1: baseline is not positive",
             ),
             (
                 "[fringe]\nvisibility_n2 = 0.0",
                 ["--noiseless", "fringe"],
-                "[fringe] visibility_n2 = 0, rate_hz = 600, t_bin_s = 1, phase_min_rad = 0, phase_max_rad = 6.28319: "
-                "scan shows no fringe",
+                "[fringe] visibility_n2 = 0, phase_min_rad = 0, phase_max_rad = 6.28319, points = 96, rate_hz = 600, "
+                "t_bin_s = 1: scan shows no fringe",
             ),
             # A failed fit names every key its data depends on, not only the visibility.
             (
                 "[fringe]\nphase_max_rad = 1e300",
                 ["fringe"],
-                "[fringe] visibility_n1 = 0.9751, rate_hz = 600, t_bin_s = 1, phase_min_rad = 0, "
-                "phase_max_rad = 1e+300: fringe fit failed",
+                "[fringe] visibility_n1 = 0.9751, phase_min_rad = 0, phase_max_rad = 1e+300, points = 96, "
+                "rate_hz = 600, t_bin_s = 1: fringe fit failed",
             ),
             (
                 "[fringe]\nrate_hz = 1e-300",
                 ["fringe"],
-                "[fringe] visibility_n1 = 0.9751, rate_hz = 1e-300, t_bin_s = 1, phase_min_rad = 0, "
-                "phase_max_rad = 6.28319: scan shows no fringe",
+                "[fringe] visibility_n1 = 0.9751, phase_min_rad = 0, phase_max_rad = 6.28319, points = 96, "
+                "rate_hz = 1e-300, t_bin_s = 1: scan shows no fringe",
             ),
             # A pinned poling period is named with the crystal whose spectrum fails.
             (
                 "[source_crystal]\npoling_um = 1e-300",
                 ["spectra"],
-                "[source_crystal] spectrum with length_mm = 20, poling_um = 1e-300: "
+                "[source_crystal] length_mm = 20, poling_um = 1e-300: "
                 "cannot normalize an all-zero density",
             ),
             (
                 "[converter_crystal]\npoling_um = 1e-300",
                 ["spectra"],
-                "[converter_crystal] spectrum with length_mm = 20, poling_um = 1e-300: "
+                "[converter_crystal] length_mm = 20, poling_um = 1e-300: "
                 "cannot normalize an all-zero density",
             ),
             # Building a scan fails: the prefix names the scan's section and keys.
             (
                 "[hom]\ngamma = 2",
                 ["hom"],
-                "[hom] gamma = 2, delay_points = 121, rate_hz = 600, t_bin_s = 1: overlap must lie in [0, 1]",
+                "[hom] gamma = 2, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 600, "
+                "t_bin_s = 1: overlap must lie in [0, 1]",
             ),
             (
                 "[hom]\ngamma_upconverted = 1.5",
                 ["hom"],
-                "[hom] gamma_upconverted = 1.5, up_delay_points = 121, rate_hz = 600, t_bin_s = 1: "
+                "[hom] gamma_upconverted = 1.5, up_delay_min_mm = -12, up_delay_max_mm = 12, up_delay_points = 121, "
+                "rate_hz = 600, t_bin_s = 1: "
                 "overlap must lie in [0, 1]",
             ),
             (
                 "[bunching]\ngamma = 2",
                 ["bunching"],
-                "[bunching] gamma = 2, delay_points = 121, rate_hz = 2400, t_bin_s = 1: overlap must lie in [0, 1]",
+                "[bunching] gamma = 2, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 2400, "
+                "t_bin_s = 1: overlap must lie in [0, 1]",
             ),
             (
                 "[fringe]\nvisibility_n2 = 1.5",
                 ["fringe"],
-                "[fringe] visibility_n2 = 1.5, points = 96, rate_hz = 600, t_bin_s = 1: visibility must lie in [0, 1]",
+                "[fringe] visibility_n2 = 1.5, phase_min_rad = 0, phase_max_rad = 6.28319, points = 96, rate_hz = 600, "
+                "t_bin_s = 1: visibility must lie in [0, 1]",
             ),
             (
                 "[hom]\nrate_hz = 0",
                 ["hom"],
-                "[hom] gamma = 0.979, delay_points = 121, rate_hz = 0, t_bin_s = 1: "
+                "[hom] gamma = 0.979, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 0, "
+                "t_bin_s = 1: "
                 "rate and integration time must be positive and finite",
             ),
             (
                 "[bunching]\nt_bin_s = 0",
                 ["bunching"],
-                "[bunching] gamma = 1, delay_points = 121, rate_hz = 2400, t_bin_s = 0: "
+                "[bunching] gamma = 1, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 2400, "
+                "t_bin_s = 0: "
                 "rate and integration time must be positive and finite",
             ),
             (
                 "[fringe]\nrate_hz = 0",
                 ["fringe"],
-                "[fringe] visibility_n1 = 0.9751, points = 96, rate_hz = 0, t_bin_s = 1: "
+                "[fringe] visibility_n1 = 0.9751, phase_min_rad = 0, phase_max_rad = 6.28319, points = 96, "
+                "rate_hz = 0, t_bin_s = 1: "
                 "rate and integration time must be positive and finite",
             ),
             (
                 "[hom]\nrate_hz = 1e300",
                 ["hom"],
-                "[hom] gamma = 0.979, delay_points = 121, rate_hz = 1e+300, t_bin_s = 1: "
+                "[hom] gamma = 0.979, delay_min_mm = -6, delay_max_mm = 6, delay_points = 121, rate_hz = 1e+300, "
+                "t_bin_s = 1: "
                 "Poisson means must not exceed 9.22337e+18",
             ),
             (
                 "[hom]\ndelay_points = 0",
                 ["hom"],
-                "[hom] gamma = 0.979, delay_points = 0, rate_hz = 600, t_bin_s = 1: a scan needs at least one point",
+                "[hom] gamma = 0.979, delay_min_mm = -6, delay_max_mm = 6, delay_points = 0, rate_hz = 600, "
+                "t_bin_s = 1: a scan needs at least one point",
             ),
             (
                 "[hom]\nup_delay_points = 0",
                 ["hom"],
-                "[hom] gamma_upconverted = 0.9672, up_delay_points = 0, rate_hz = 600, t_bin_s = 1: "
+                "[hom] gamma_upconverted = 0.9672, up_delay_min_mm = -12, up_delay_max_mm = 12, up_delay_points = 0, "
+                "rate_hz = 600, t_bin_s = 1: "
                 "a scan needs at least one point",
             ),
             (
                 "[bunching]\ndelay_points = 0",
                 ["bunching"],
-                "[bunching] gamma = 1, delay_points = 0, rate_hz = 2400, t_bin_s = 1: a scan needs at least one point",
+                "[bunching] gamma = 1, delay_min_mm = -6, delay_max_mm = 6, delay_points = 0, rate_hz = 2400, "
+                "t_bin_s = 1: a scan needs at least one point",
             ),
             (
                 "[fringe]\npoints = 0",
                 ["fringe"],
-                "[fringe] visibility_n1 = 0.9751, points = 0, rate_hz = 600, t_bin_s = 1: "
+                "[fringe] visibility_n1 = 0.9751, phase_min_rad = 0, phase_max_rad = 6.28319, points = 0, "
+                "rate_hz = 600, t_bin_s = 1: "
                 "a scan needs at least one point",
+            ),
+            # A crystal names its length, poling period and axes; a FWHM, the grid and its spectrum's crystal.
+            (
+                "[source_crystal]\npoling_um = 0",
+                ["spectra"],
+                "[source_crystal] length_mm = 20, poling_um = 0, pump_axis = ny, signal_axis = ny, idler_axis = nz: "
+                "poling period must be positive and finite",
+            ),
+            (
+                "[converter_crystal]\npoling_um = 1e300",
+                ["spectra"],
+                "[grid] points = 4096, span_nm = 16, [converter_crystal] length_mm = 20, poling_um = 1e+300: "
+                "half height not crossed on the right side of the grid",
+            ),
+            (
+                "[hom]\ndelay_min_mm = -1e308\ndelay_max_mm = 1e308",
+                ["hom"],
+                "[hom] delay_min_mm = -1e+308, delay_max_mm = 1e+308, delay_points = 121: "
+                "the scan range's width must be finite",
+            ),
+            (
+                "[fringe]\naxis = plate\nplate_index = 1e300",
+                ["fringe"],
+                "[fringe] plate_tilt_min_rad = 0.02, plate_tilt_max_rad = 0.25, points = 96, plate_thickness_mm = 0.2, "
+                "plate_index = 1e+300, wavelength_nm = 525.135: plate index squared must be finite",
             ),
         ],
         ids=[
@@ -555,6 +720,10 @@ class TestInvalidInput:
             "hom-up_delay_points",
             "bunching-delay_points",
             "fringe-points",
+            "source_crystal-poling_um-zero",
+            "converter_crystal-poling_um-fwhm",
+            "hom-delay-range-overflow",
+            "fringe-plate_index-overflow",
         ],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, config, args, message):

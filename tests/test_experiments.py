@@ -265,6 +265,20 @@ class TestPlatePhase:
         assert phases.shape == tilts.shape
         np.testing.assert_allclose(phases, 2 * np.pi / wavelength_m * path, rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize(
+        ("thickness_m", "index", "wavelength_m", "message"),
+        [
+            (2e-4, 1e300, 525e-9, "plate index squared must be finite"),
+            (2e-4, 1e155, 525e-9, "plate index squared must be finite"),
+            (2e-4, math.nan, 525e-9, "plate index squared must be finite"),
+            (1e305, 1.5, 525e-9, "plate phase must be finite"),
+            (2e-4, 1.5, 5e-324, "plate phase must be finite"),
+        ],
+    )
+    def test_non_finite_index_square_or_phase_raises(self, thickness_m, index, wavelength_m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ns.plate_phase(np.linspace(0.0, 0.25, 5), thickness_m, index, wavelength_m)
+
     @pytest.mark.parametrize("edge", [np.pi / 3, -np.pi / 3, 2.0])
     def test_array_with_one_tilt_out_of_range_raises(self, edge):
         tilts = np.linspace(-0.5, 0.5, 11)
@@ -489,6 +503,19 @@ class TestScanResult:
     def test_csv_extra_columns_accepted(self):
         scan = ns.ScanResult.from_csv("param,expected,counts\n0,1,2,x\n1,2,3\n2,3,4,y,z\n")
         assert scan.param.tolist() == [0.0, 1.0, 2.0] and scan.counts.tolist() == [2, 3, 4]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1], ids=["param", "expected"])
+    def test_non_finite_param_or_expected_rejected(self, column, bad):
+        name = ("param", "expected")[column]
+        values = [np.array([0.0, 1.0]), np.array([1.0, 2.0])]
+        values[column][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} values must be finite$"):
+            ns.ScanResult(*values, np.array([1, 2]))
+        cells = ["1", "2", "2", "1.4"]
+        cells[column] = str(bad)
+        with pytest.raises(ValueError, match=f"^{name} values must be finite$"):
+            ns.ScanResult.from_csv("param,expected,counts,sigma\n0,1,1,1\n" + ",".join(cells) + "\n")
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -340,6 +340,11 @@ class TestHomProfile:
             if scan is delays:
                 assert got[0] == 1.0 and got[81] == 1.0  # both zero delays
 
+    @pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+    def test_delay_whose_phase_is_not_finite_rejected(self, emission, delay):
+        with pytest.raises(ValueError, match="must be finite"):
+            ns.overlap_kernel(emission, [0.0, 1.0, delay])
+
     def test_profile_bounds_and_far_baseline(self, emission):
         vis = 0.9
         delays = np.linspace(-30.0, 30.0, 501)
