@@ -53,15 +53,17 @@ def internal_conversion_efficiency(p_circ_w: float, a: float) -> float:
     ``a`` is the calibration constant in W^-1/2; the efficiency rises
     monotonically up to full conversion at P = (pi / 2a)^2.
     """
-    if p_circ_w < 0:
-        raise ValueError("circulating power must be nonnegative")
+    if not 0.0 <= p_circ_w < math.inf:
+        raise ValueError(f"circulating power must be nonnegative and finite, got {p_circ_w}")
+    if not math.isfinite(a):
+        raise ValueError(f"conversion constant must be finite, got {a}")
     return math.sin(a * math.sqrt(p_circ_w)) ** 2
 
 
 def conversion_constant(p_ref_w: float, efficiency: float) -> float:
     """Calibrate the sin^2(a*sqrt(P)) model from one measured point."""
-    if p_ref_w <= 0:
-        raise ValueError("reference power must be positive")
+    if not 0.0 < p_ref_w < math.inf:
+        raise ValueError(f"reference power must be positive and finite, got {p_ref_w}")
     if not 0 <= efficiency <= 1:
         raise ValueError("efficiency must lie in [0, 1]")
     return math.asin(math.sqrt(efficiency)) / math.sqrt(p_ref_w)

@@ -11,7 +11,8 @@ built per point and all points are drawn in a few vectorized rounds.  One
 varying number of random words, so each count would depend on every mean
 before it; the per-point property is kept on purpose.  A ``noiseless`` flag
 replaces sampling with rounded expectations for exact regression runs; fits
-then operate on the expected rates directly.
+then take the expected rates as their data (an "Asimov" data set) with the
+weights of sampled counts, so their sigmas are those of a measurement.
 """
 
 from __future__ import annotations
@@ -44,16 +45,18 @@ _MAX_MEAN = float(np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).m
 #: log(k!) is read from this table below its size and from a Stirling series
 #: above it, where the first omitted term is below 2e-14.
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(32)])
+#: Points ``poisson_counts`` draws at a time; about 2 MiB of Philox words each round.
+_POISSON_BLOCK = 65536
 
 
-def _philox_blocks(key: np.ndarray, attempt: int, n_points: int) -> np.ndarray:
-    """The four 64-bit words at Philox counter (i, attempt) for i < n_points.
+def _philox_blocks(key: np.ndarray, attempt: int, start: int, stop: int) -> np.ndarray:
+    """The four 64-bit words at Philox counter (i, attempt) for start <= i < stop.
 
     Philox increments its 256-bit counter before it computes a block, so the
-    generator starts one below (0, attempt).
+    generator starts one below (start, attempt).
     """
-    bitgen = np.random.Philox(key=key, counter=((attempt << 64) - 1) % 2**256)
-    return bitgen.random_raw(4 * n_points).reshape(n_points, 4)
+    bitgen = np.random.Philox(key=key, counter=((attempt << 64) + start - 1) % 2**256)
+    return bitgen.random_raw(4 * (stop - start)).reshape(stop - start, 4)
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -134,31 +137,44 @@ def _checked_means(means: Sequence[float]) -> np.ndarray:
     return means
 
 
+def _poisson_block(key: np.ndarray, means: np.ndarray, start: int) -> np.ndarray:
+    """Counts of points start, start + 1, ... drawn at the given means.
+
+    Means below 10 are drawn by inversion from round 0, larger ones by PTRS,
+    repeating rounds for the points whose attempts were all rejected.
+    """
+    stop = start + means.size
+    out = np.zeros(means.size, dtype=np.int64)
+    words = _philox_blocks(key, 0, start, stop)
+    small = np.flatnonzero(means < _PTRS_MIN_MEAN)
+    out[small] = _poisson_inversion(means[small], _unit(words[small, 0]))
+    pending = np.flatnonzero(means >= _PTRS_MIN_MEAN)
+    attempt = 0
+    while pending.size:
+        if attempt:
+            words = _philox_blocks(key, attempt, start, stop)
+        k, accepted = _ptrs_round(means[pending], words[pending])
+        out[pending[accepted]] = k[accepted]
+        pending = pending[~accepted]
+        attempt += 1
+    return out
+
+
 def poisson_counts(means: Sequence[float], seed: int) -> np.ndarray:
     """Poisson draws with one independent substream per point.
 
     Count i depends only on (seed, i, means[i]).  ``SeedSequence(seed)``
     gives one 128-bit Philox key per call; attempt round j of point i reads
-    the block at Philox counter (i, j).  Means below 10 are drawn by
-    inversion from round 0, larger ones by PTRS, repeating rounds for the
-    points whose attempts were all rejected.
+    the block at Philox counter (i, j).  Points are drawn ``_POISSON_BLOCK``
+    at a time, which bounds the scratch arrays and leaves every count as it is.
     """
     means = _checked_means(means)
     flat = means.ravel()
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    out = np.zeros(flat.size, dtype=np.int64)
-    words = _philox_blocks(key, 0, flat.size)
-    small = np.flatnonzero(flat < _PTRS_MIN_MEAN)
-    out[small] = _poisson_inversion(flat[small], _unit(words[small, 0]))
-    pending = np.flatnonzero(flat >= _PTRS_MIN_MEAN)
-    attempt = 0
-    while pending.size:
-        if attempt:
-            words = _philox_blocks(key, attempt, flat.size)
-        k, accepted = _ptrs_round(flat[pending], words[pending])
-        out[pending[accepted]] = k[accepted]
-        pending = pending[~accepted]
-        attempt += 1
+    out = np.empty(flat.size, dtype=np.int64)
+    for start in range(0, flat.size, _POISSON_BLOCK):
+        block = flat[start : start + _POISSON_BLOCK]
+        out[start : start + block.size] = _poisson_block(key, block, start)
     return out.reshape(means.shape)
 
 
@@ -403,38 +419,32 @@ _FIT_MAX_STEPS = 100
 _FIT_STEP_TOL = 1e-10
 
 
-def _quasi_loglik(data: np.ndarray, mu: np.ndarray, noiseless: bool) -> float:
+def _quasi_loglik(data: np.ndarray, mu: np.ndarray) -> float:
     """The fit's objective: the log quasi-likelihood of variance max(mu, 1).
 
     That is the Poisson d log mu - mu for mu >= 1, continued below one
-    count by the quadratic with the same value and slope.  Noiseless scans
-    have unit variance, so theirs is -sum (d - mu)^2 / 2.
+    count by the quadratic with the same value and slope.
     """
-    if noiseless:
-        resid = data - mu
-        return -0.5 * float(resid @ resid)
     hi = np.maximum(mu, 1.0)
     below = mu - hi  # mu - 1 where mu < 1, else 0
     return float(data @ np.log(hi) - hi.sum() + below @ (data - 1.0 - 0.5 * below))
 
 
-def _fringe_point(phi: np.ndarray, data: np.ndarray, p: np.ndarray, noiseless: bool):
+def _fringe_point(phi: np.ndarray, data: np.ndarray, p: np.ndarray):
     """(theta, cos theta, mu, quasi-likelihood) of C0 (1 + V cos theta), theta = f phi + phi0."""
     c0, vis, freq, phi0 = p
     theta = freq * phi + phi0
     cos = np.cos(theta)
     mu = c0 * (1.0 + vis * cos)
-    return theta, cos, mu, _quasi_loglik(data, mu, noiseless)
+    return theta, cos, mu, _quasi_loglik(data, mu)
 
 
-def _score_fringe(
-    phi: np.ndarray, data: np.ndarray, p: np.ndarray, noiseless: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _score_fringe(phi: np.ndarray, data: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Fisher scoring from ``p``: the optimum, its covariance, and its Pearson chi^2."""
-    theta, cos, mu, q = _fringe_point(phi, data, p, noiseless)
+    theta, cos, mu, q = _fringe_point(phi, data, p)
     for _ in range(_FIT_MAX_STEPS):
         c0, vis = p[0], p[1]
-        weights = 1.0 if noiseless else 1.0 / np.maximum(mu, 1.0)
+        weights = 1.0 / np.maximum(mu, 1.0)
         slope = -c0 * vis * np.sin(theta)  # d mu / d phi0
         jac = np.array([1.0 + vis * cos, c0 * cos, slope * phi, slope])
         weighted = jac * weights
@@ -449,18 +459,17 @@ def _score_fringe(
         # sum, the objective cannot tell the step from none: converged.
         gain = 0.5 * float(score @ step)
         while (np.abs(step) > _FIT_STEP_TOL * scale).any() and gain > len(data) * math.ulp(q):
-            trial = _fringe_point(phi, data, p + step, noiseless)
+            trial = _fringe_point(phi, data, p + step)
             if trial[3] > q:
                 break
             step *= 0.5
             gain *= 0.25
         else:
-            # The last step is taken untested: it lands noiseless fits of
-            # exact data on the rates they were computed from.
+            # The last step is taken untested: it lands fits of exact data
+            # on the rates they were computed from.
             p = p + step
-            mu = _fringe_point(phi, data, p, noiseless)[2]
-            chi2 = float(np.sum(weights * (data - mu) ** 2))
-            return p, (cov * chi2 / (len(data) - 4) if noiseless else cov), chi2
+            mu = _fringe_point(phi, data, p)[2]
+            return p, cov, float(np.sum(weights * (data - mu) ** 2))
         p = p + step
         theta, cos, mu, q = trial
     raise FitError(f"fringe fit did not converge in {_FIT_MAX_STEPS} steps")
@@ -469,17 +478,19 @@ def _score_fringe(
 def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     """Quasi-likelihood fringe fit of C0 (1 + V cos(f phi + phi0)), f free.
 
-    Sampled scans weight each point by 1 / max(mu, 1), mu the model's count:
-    the Poisson maximum-likelihood fit above one count per bin, with a floor
-    that keeps dark-fringe bins from pulling the fit onto mu = 0.  Noiseless
-    scans use unit weights (least squares).  Fisher scoring starts from a
-    linear pre-fit at f = n_expected; each step is halved until it raises
-    the log quasi-likelihood (``_quasi_loglik``), and the fit stops once a
-    step is within 1e-10 of the parameters or below what that objective
-    resolves.  The covariance is the inverse Fisher matrix at the optimum,
-    scaled by chi^2 / (n - 4) for noiseless scans; ``residual_norm`` is
-    sqrt(chi^2), the Pearson chi^2 at the model weights.  Data with no
-    fringe, or a fit that does not converge, raises ``FitError``.
+    Each point is weighted by 1 / max(mu, 1), mu the model's count: the
+    Poisson maximum-likelihood fit above one count per bin, with a floor
+    that keeps dark-fringe bins from pulling the fit onto mu = 0.  Sampled
+    and noiseless scans are fitted alike, so a noiseless scan, whose data
+    are the expected counts, gets the covariance a measurement at its rate
+    would have.  Fisher scoring starts from a linear pre-fit at
+    f = n_expected; each step is halved until it raises the log
+    quasi-likelihood (``_quasi_loglik``), and the fit stops once a step is
+    within 1e-10 of the parameters or below what that objective resolves.
+    The covariance is the inverse Fisher matrix at the optimum;
+    ``residual_norm`` is sqrt(chi^2), the Pearson chi^2 at the model
+    weights.  Data with no fringe or less than one count in all, or a fit
+    that does not converge, raises ``FitError``.
     """
     if n_expected < 1:
         raise ValueError("expected fringe order must be at least 1")
@@ -491,6 +502,9 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
         raise ValueError("scan must span at least one full fringe period")
     if data.min() == data.max():
         raise FitError(f"scan shows no fringe: every point reads {data[0]:.6g}")
+    total = float(data.sum())
+    if total < 1.0:
+        raise FitError(f"scan holds {total:.3g} counts in all; a fit needs at least one")
 
     # Linear pre-fit at the expected frequency for amplitude and phase seeds.
     design = np.column_stack(
@@ -506,7 +520,7 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
         # Data with (almost) no counts overflows or makes the Fisher matrix
         # singular; that is reported as a failed fit, not as a warning.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            popt, pcov, chi2 = _score_fringe(phi, data, p0, scan.noiseless)
+            popt, pcov, chi2 = _score_fringe(phi, data, p0)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fringe fit failed: {exc}") from exc
 
@@ -564,8 +578,10 @@ def sql_verdict(visibility: float, visibility_sigma: float, n_photons: int) -> S
     """Strict comparison against the 1/sqrt(N) visibility threshold."""
     if n_photons < 2:
         raise ValueError("the SQL comparison needs at least 2 photons")
-    if visibility_sigma < 0:
-        raise ValueError("visibility sigma must be nonnegative")
+    if not math.isfinite(visibility):
+        raise ValueError(f"visibility must be finite, got {visibility}")
+    if not 0.0 <= visibility_sigma < math.inf:
+        raise ValueError(f"visibility sigma must be nonnegative and finite, got {visibility_sigma}")
     threshold = 1.0 / math.sqrt(n_photons)
     beats = visibility > threshold
     if visibility_sigma > 0:

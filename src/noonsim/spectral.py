@@ -684,6 +684,8 @@ def coherence_length(center_nm: float, bandwidth_nm: float) -> float:
     Uses the half-width-at-half-maximum pairing L_c = (2 ln2 / pi)
     * lam^2 / dlam between a Gaussian spectral FWHM and its transform.
     """
-    if bandwidth_nm <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < center_nm < math.inf:
+        raise ValueError(f"center wavelength must be positive and finite, got {center_nm}")
+    if not 0.0 < bandwidth_nm < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_nm}")
     return (2.0 * math.log(2.0) / math.pi) * center_nm**2 / bandwidth_nm * 1e-6

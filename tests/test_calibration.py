@@ -16,7 +16,13 @@ of the time.  A sigma off by a factor of 2 moves the sd to 0.5 or 2.
 
 The checks are the ones the fits pass today.  Visibilities near 0, where
 the free frequency can alias, are left out.
+
+The same fits give each cell's median sigma, which the sigma of a noiseless
+fit must match within ``NOISELESS_SIGMA_RTOL``: it measured 1.0001-1.0079
+times the median for the visibility and 1.0003-1.0040 for the frequency.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -33,30 +39,45 @@ PHASES = np.linspace(DEFAULTS.fringe_phase_min_rad, DEFAULTS.fringe_phase_max_ra
 LONG_PHASES = np.linspace(0.0, 4 * np.pi, 2000)
 
 
-def fringe_pulls(n_photons, visibility, phases, rate_hz):
-    """Pulls of the fitted visibility and frequency, one per seed."""
-    pulls = {"visibility": [], "frequency": []}
-    for seed in SEEDS:
-        scan = ns.noon_fringe(n_photons, visibility, phases, rate_hz, DEFAULTS.fringe_t_bin_s, seed)
-        report = ns.fit_visibility(scan, n_photons)
-        pulls["visibility"].append((report.visibility - visibility) / report.visibility_sigma)
-        pulls["frequency"].append((report.frequency - n_photons) / report.frequency_sigma)
-    return pulls
+#: id -> (N, visibility, phases, rate) of each calibration cell.
+CELLS = {
+    "n1-default": (1, DEFAULTS.fringe_visibility_n1, PHASES, DEFAULTS.fringe_rate_hz),
+    "n1-0.5": (1, 0.5, PHASES, DEFAULTS.fringe_rate_hz),
+    "n2-default": (2, DEFAULTS.fringe_visibility_n2, PHASES, DEFAULTS.fringe_rate_hz),
+    "n2-0.2": (2, 0.2, PHASES, DEFAULTS.fringe_rate_hz),
+    "n1-long": (1, DEFAULTS.fringe_visibility_n1, LONG_PHASES, 120.0),
+}
+#: Largest relative distance of a noiseless fit's sigma from the median sampled sigma.
+NOISELESS_SIGMA_RTOL = 0.02
 
 
-@pytest.mark.parametrize(
-    "n_photons, visibility, phases, rate_hz",
-    [
-        (1, DEFAULTS.fringe_visibility_n1, PHASES, DEFAULTS.fringe_rate_hz),
-        (1, 0.5, PHASES, DEFAULTS.fringe_rate_hz),
-        (2, DEFAULTS.fringe_visibility_n2, PHASES, DEFAULTS.fringe_rate_hz),
-        (2, 0.2, PHASES, DEFAULTS.fringe_rate_hz),
-        (1, DEFAULTS.fringe_visibility_n1, LONG_PHASES, 120.0),
-    ],
-    ids=["n1-default", "n1-0.5", "n2-default", "n2-0.2", "n1-long"],
-)
-def test_fringe_pulls_are_calibrated(n_photons, visibility, phases, rate_hz):
-    for estimate, pulls in fringe_pulls(n_photons, visibility, phases, rate_hz).items():
+@functools.cache
+def sampled_fits(cell):
+    """One fit report per seed of ``cell``'s sampled scans."""
+    n_photons, visibility, phases, rate_hz = CELLS[cell]
+    return [
+        ns.fit_visibility(ns.noon_fringe(n_photons, visibility, phases, rate_hz, DEFAULTS.fringe_t_bin_s, seed), n_photons)
+        for seed in SEEDS
+    ]
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_fringe_pulls_are_calibrated(cell):
+    n_photons, visibility = CELLS[cell][:2]
+    for estimate, truth in (("visibility", visibility), ("frequency", n_photons)):
+        pulls = [(getattr(r, estimate) - truth) / getattr(r, f"{estimate}_sigma") for r in sampled_fits(cell)]
         mean, sd = np.mean(pulls), np.std(pulls, ddof=1)
         assert abs(mean) < MEAN_BOUND, f"{estimate} pull mean {mean:+.3f}"
         assert SD_RANGE[0] < sd < SD_RANGE[1], f"{estimate} pull sd {sd:.3f}"
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_noiseless_sigmas_predict_the_sampled_ones(cell):
+    # A noiseless fit sees the expected counts and weights them as a sampled
+    # fit would, so its sigmas are the ones a measurement at this rate has.
+    n_photons, visibility, phases, rate_hz = CELLS[cell]
+    scan = ns.noon_fringe(n_photons, visibility, phases, rate_hz, DEFAULTS.fringe_t_bin_s, 0, noiseless=True)
+    report = ns.fit_visibility(scan, n_photons)
+    for estimate in ("visibility_sigma", "frequency_sigma"):
+        median = np.median([getattr(r, estimate) for r in sampled_fits(cell)])
+        assert getattr(report, estimate) == pytest.approx(median, rel=NOISELESS_SIGMA_RTOL), estimate

@@ -1,4 +1,5 @@
 import configparser
+import itertools
 import re
 import subprocess
 import sys
@@ -23,6 +24,10 @@ from noonsim.cli import (
     main,
     read_summary,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = sorted(GOLDEN.glob("*.cfg"))
 
 
 def run_cli(*args):
@@ -82,6 +87,13 @@ def names_key(line, section, key):
     """Whether an error line names ``key`` in its ``[section] key = value, ...`` group, or is a bad-value error."""
     group = rf"\[{section}\] (\w+ = [^,:\[]*, )*{key} = "
     return bool(re.search(group, line)) or f"bad value for [{section}] {key}:" in line
+
+
+def assert_noiseless_sigmas_finite(values, case=None):
+    """A noiseless fringe summary's sigmas are those of a measurement: finite and positive, the margin finite."""
+    for n in (1, 2):
+        assert 0.0 < float(values[f"n{n}_visibility_sigma"]) < np.inf, case
+    assert np.isfinite(float(values["sql_margin_sigma"])), case
 
 
 class TestConfig:
@@ -245,6 +257,52 @@ class TestFringeCommand:
         values = summary(out / "fringe_summary.txt")
         assert float(values["period_ratio_n2_over_n1"]) == pytest.approx(2.0, abs=0.02)
 
+    @pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=[c.stem for c in GOLDEN_CONFIGS])
+    def test_noiseless_sigmas_and_margin_are_finite(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config), "--out", str(out), "--noiseless", "fringe") == 0
+        assert_noiseless_sigmas_finite(summary(out / "fringe_summary.txt"))
+
+    @pytest.mark.parametrize("name", ["default", "plate_axis"])
+    def test_noiseless_verdict_survives_a_one_ulp_move_of_the_axis(self, tmp_path, name):
+        # Exact data fit to rounding residue; the sigmas and margin must not
+        # depend on it.  The ends move outward: the default phase span is
+        # exactly one N = 1 period.
+        stable = [f"n{n}_{key}" for n in (1, 2) for key in ("visibility", "visibility_sigma", "frequency_sigma")]
+        stable += ["beats_sql", "sql_margin_sigma", "sql_verdict"]
+        parser = configparser.ConfigParser()
+        parser.read(GOLDEN / f"{name}.cfg")
+        if not parser.has_section("fringe"):
+            parser.add_section("fringe")
+        stem = "plate_tilt" if parser.get("fringe", "axis", fallback="phase") == "plate" else "phase"
+        moved = []
+        for end, toward in (("min", -np.inf), ("max", np.inf)):
+            key = f"{stem}_{end}_rad"
+            value = getattr(RunConfig(), f"fringe_{key}")
+            parser.set("fringe", key, repr(float(np.nextafter(value, toward))))
+            cfg = tmp_path / f"{key}.cfg"
+            with cfg.open("w") as f:
+                parser.write(f)
+            parser.remove_option("fringe", key)
+            moved.append(cfg)
+        base = None
+        for cfg in [GOLDEN / f"{name}.cfg", *moved]:
+            out = tmp_path / cfg.stem
+            assert run_cli("--config", str(cfg), "--out", str(out), "--noiseless", "fringe") == 0
+            values = summary(out / "fringe_summary.txt")
+            base = base or values
+            assert {k: values[k] for k in stable} == {k: base[k] for k in stable}, cfg.name
+
+    @pytest.mark.parametrize("rate", ["1e-20", "1e-300"])
+    def test_noiseless_scan_below_one_count_names_the_rate(self, tmp_path, capsys, rate):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[fringe]\nrate_hz = {rate}\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfg), "--out", str(out), "--noiseless", "fringe") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and not out.exists()
+        assert names_key(err[0], "fringe", "rate_hz") and err[0].endswith("counts in all; a fit needs at least one")
+
 
 class TestBudgetCommand:
     def test_reference_chain_report(self, tmp_path):
@@ -316,18 +374,20 @@ class TestInvalidInput:
     def test_edge_value_ends_in_a_run_or_one_error_naming_its_key(self, tmp_path, capsys, section, key, lines):
         plate = section == "fringe" and key.startswith(("plate", "wavelength"))
         cfg = tmp_path / "run.cfg"
-        for i, line in enumerate(lines):
+        for (i, line), mode in itertools.product(enumerate(lines), ((), ("--noiseless",))):
             cfg.write_text(f"[{section}]\n" + ("axis = plate\n" if plate else "") + f"{line}\n")
             for command in dict.fromkeys(READERS[section] + ("budget",)):
-                out = tmp_path / f"o{i}-{command}"
+                out = tmp_path / f"o{i}-{command}{'-'.join(mode)}"
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    status = run_cli("--config", str(cfg), "--out", str(out), command)
+                    status = run_cli("--config", str(cfg), "--out", str(out), *mode, command)
                 err = capsys.readouterr().err.splitlines()
-                case = (command, line, err)
+                case = (command, line, mode, err)
                 assert status in (0, 1), case
                 if status == 0:
                     assert not err, case
+                    if command == "fringe" and mode:
+                        assert_noiseless_sigmas_finite(summary(out / "fringe_summary.txt"), case)
                     continue
                 assert len(err) == 1 and err[0].startswith("noonsim: error: ") and not out.exists(), case
                 assert section in ("run", "budget") or names_key(err[0], section, key), case

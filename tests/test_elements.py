@@ -88,6 +88,24 @@ class TestConversionEfficiency:
         with pytest.raises(ValueError):
             ns.conversion_constant(1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        ("power", "a", "message"),
+        [
+            (math.nan, 1.0, "circulating power"),
+            (math.inf, 1.0, "circulating power"),
+            (1.0, math.nan, "conversion constant"),
+            (1.0, -math.inf, "conversion constant"),
+        ],
+    )
+    def test_non_finite_efficiency_argument_rejected(self, power, a, message):
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            ns.internal_conversion_efficiency(power, a)
+
+    @pytest.mark.parametrize("p_ref_w", [math.inf, math.nan])
+    def test_non_finite_reference_power_rejected(self, p_ref_w):
+        with pytest.raises(ValueError, match="^reference power must be positive and finite"):
+            ns.conversion_constant(p_ref_w, 0.3)
+
 
 class TestCircuit:
     def test_empty_circuit_is_identity(self):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import noonsim as ns
+from noonsim import experiments
 from noonsim.elements import Circuit, CircuitElement
 from noonsim.experiments import EfficiencyChain, FRINGE_PHASE_OFFSET
 from noonsim.fock import FockState
@@ -61,6 +63,30 @@ class TestPoissonSampling:
         changed = means.copy()
         changed[::2] = np.random.default_rng(4).uniform(0.0, 40.0, changed[::2].size)
         assert np.array_equal(ns.poisson_counts(changed, 77)[1::2], counts[1::2])
+
+    def test_scan_across_block_boundaries(self, monkeypatch):
+        # Two blocks and three points, means on both sides of the split at 10.
+        n = 2 * experiments._POISSON_BLOCK + 3
+        means = np.random.default_rng(8).uniform(0.0, 40.0, n)
+        counts = ns.poisson_counts(means, 21)
+        for k in (experiments._POISSON_BLOCK - 1, experiments._POISSON_BLOCK + 1, n - 2):
+            assert np.array_equal(ns.poisson_counts(means[:k], 21), counts[:k])
+        changed = means.copy()
+        changed[::2] = np.random.default_rng(9).uniform(0.0, 40.0, changed[::2].size)
+        assert np.array_equal(ns.poisson_counts(changed, 21)[1::2], counts[1::2])
+        monkeypatch.setattr(experiments, "_POISSON_BLOCK", n)
+        assert np.array_equal(ns.poisson_counts(means, 21), counts)
+
+    def test_scratch_memory_is_bounded_by_a_block(self):
+        # Sampled in one block, these points would hold about 98 MiB of scratch.
+        means = np.random.default_rng(10).uniform(0.0, 40.0, 300_000)
+        tracemalloc.start()
+        try:
+            counts = ns.poisson_counts(means, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - counts.nbytes <= 40 * 2**20, peak
 
     def test_zero_means_among_others_give_zero(self):
         means = np.tile([0.0, 3.0, 0.0, 500.0], 100)
@@ -293,8 +319,39 @@ class TestFitVisibility:
         scan = ns.noon_fringe(2, 0.800, phases, 500.0, 1.0, 1, noiseless=True)
         report = ns.fit_visibility(scan, 2)
         assert report.visibility == pytest.approx(0.800, abs=1e-6)
-        assert report.visibility_sigma == pytest.approx(0.0, abs=1e-6)
         assert report.frequency == pytest.approx(2.0, abs=1e-6)
+        # The sigma of a measurement at this rate: the Poisson Fisher
+        # information of (C0, V, f, phi0) at the truth, every mu above 1.
+        c0, vis, theta = 250.0, 0.8, 2.0 * phases + FRINGE_PHASE_OFFSET
+        mu = c0 * (1.0 + vis * np.cos(theta))
+        slope = -c0 * vis * np.sin(theta)
+        jac = np.array([1.0 + vis * np.cos(theta), c0 * np.cos(theta), slope * phases, slope])
+        fisher_sigma = math.sqrt(np.linalg.inv((jac / mu) @ jac.T)[1, 1])
+        assert report.visibility_sigma == pytest.approx(fisher_sigma, rel=1e-9)
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("rate", [1e-300, 1e-20, 1e-6])
+    def test_less_than_one_count_in_all_is_no_fit(self, rate, noiseless):
+        # A sampled scan that low reads 0 everywhere; a noiseless one still
+        # has a fringe, but no measurement could fit it.
+        phases = np.linspace(0.0, 2 * np.pi, 96)
+        scan = ns.noon_fringe(2, 0.8493, phases, rate, 1.0, 11, noiseless=noiseless)
+        message = "counts in all; a fit needs at least one" if noiseless else "every point reads 0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ns.FitError, match=message):
+                ns.fit_visibility(scan, 2)
+
+    @pytest.mark.parametrize("rate", [0.03, 1.0, 600.0, 1e12])
+    @pytest.mark.parametrize(("n", "vis"), [(1, 0.9751), (2, 0.8493), (2, 0.2)])
+    def test_noiseless_fit_from_one_count_up_lands_on_the_truth(self, rate, n, vis):
+        # 96 points at rate 0.03 hold about 1.4 counts in all.
+        phases = np.linspace(0.0, 2 * np.pi, 96)
+        report = ns.fit_visibility(ns.noon_fringe(n, vis, phases, rate, 1.0, 0, noiseless=True), n)
+        assert report.visibility == pytest.approx(vis, abs=1e-9)
+        assert report.frequency == pytest.approx(n, abs=1e-9)
+        assert report.amplitude == pytest.approx(rate / 2.0, rel=1e-9)
+        assert 0.0 < report.visibility_sigma < math.inf
 
     def test_poisson_recovery_within_three_sigma(self):
         phases = np.linspace(0.0, 2 * np.pi, 96)
@@ -404,6 +461,20 @@ class TestSqlVerdict:
     def test_validation(self):
         with pytest.raises(ValueError):
             ns.sql_verdict(0.9, 0.1, 1)
+
+    @pytest.mark.parametrize(
+        ("visibility", "sigma", "message"),
+        [
+            (0.9, math.nan, "visibility sigma"),
+            (0.9, math.inf, "visibility sigma"),
+            (math.nan, 0.1, "visibility must"),
+            (math.inf, 0.1, "visibility must"),
+            (-math.inf, 0.0, "visibility must"),
+        ],
+    )
+    def test_non_finite_visibility_or_sigma_rejected(self, visibility, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ns.sql_verdict(visibility, sigma, 2)
 
 
 REFERENCE_STAGES = (

@@ -396,6 +396,21 @@ class TestCoherenceLength:
         with pytest.raises(ValueError):
             ns.coherence_length(1547.0, 0.0)
 
+    @pytest.mark.parametrize(
+        ("center_nm", "bandwidth_nm", "message"),
+        [
+            (1550.0, math.inf, "bandwidth"),
+            (1550.0, math.nan, "bandwidth"),
+            (-1550.0, 1.0, "center wavelength"),
+            (0.0, 1.0, "center wavelength"),
+            (math.nan, 1.0, "center wavelength"),
+            (math.inf, 1.0, "center wavelength"),
+        ],
+    )
+    def test_non_finite_or_nonpositive_argument_rejected(self, center_nm, bandwidth_nm, message):
+        with pytest.raises(ValueError, match=f"^{message} must be positive and finite"):
+            ns.coherence_length(center_nm, bandwidth_nm)
+
 
 class TestSpectrumType:
     def test_csv_round_trip(self, emission):
