@@ -185,10 +185,10 @@ def load_config(path: str | None) -> RunConfig:
                 stages.append((key, value))
             else:
                 setattr(cfg, name, value)
-    if stages:
-        cfg.budget_stages = tuple(stages)
-    if cfg.budget_decompose_conversion and cfg.budget_stages == _DEFAULT_STAGES:
-        cfg.budget_stages = _DECOMPOSED_STAGES
+    if stages and cfg.budget_decompose_conversion:
+        raise ConfigError("bad value for [budget] decompose_conversion: it splits the default chain, not listed stages")
+    if stages or cfg.budget_decompose_conversion:
+        cfg.budget_stages = tuple(stages) or _DECOMPOSED_STAGES
     return cfg
 
 
@@ -269,14 +269,7 @@ def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
                 dispersion=dispersion,
             )
         with _naming(cfg, prefix + "pump_nm", prefix + "signal_nm"):
-            if process == "spdc":
-                if not 0.0 < pump_nm < signal_nm:
-                    raise ValueError("need 0 < pump_nm < signal_nm")
-                targets = (pump_nm, signal_nm, 1.0 / (1.0 / pump_nm - 1.0 / signal_nm))
-            else:
-                if not (pump_nm > 0.0 and signal_nm > 0.0):
-                    raise ValueError("pump_nm and signal_nm must be positive")
-                targets = (1.0 / (1.0 / pump_nm + 1.0 / signal_nm), pump_nm, signal_nm)
+            targets = crystal.waves(pump_nm, signal_nm)
             if poling_um is None:
                 crystal = sp.with_solved_poling(crystal, targets)
         crystals.append(crystal)

@@ -220,6 +220,18 @@ class CrystalSpec:
     def index(self, role: str, wavelength_nm: ArrayLike) -> ArrayLike:
         return refractive_index(self.dispersion[self.axes[role]], wavelength_nm)
 
+    def waves(self, pump_nm: ArrayLike, signal_nm: ArrayLike) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+        """The ``WAVE_ORDER[process]`` wavelengths, the third by energy conservation; pump or signal may be a grid."""
+        # [()] keeps a scalar input a scalar; a zero or degenerate input gives an inf or nan the check rejects.
+        pump, signal = np.asarray(pump_nm, dtype=float)[()], np.asarray(signal_nm, dtype=float)[()]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            third = 1.0 / (1.0 / pump - 1.0 / signal if self.process == "spdc" else 1.0 / pump + 1.0 / signal)
+        waves = (pump, signal, third) if self.process == "spdc" else (third, pump, signal)
+        if not all(np.all(np.isfinite(wave) & (wave > 0.0)) for wave in waves):
+            a, b, c = WAVE_ORDER[self.process]
+            raise ValueError(f"{a}, {b} and {c} wavelengths must be positive and finite, with 1/{a} = 1/{b} + 1/{c}")
+        return waves
+
 
 def _wavevector(crystal: CrystalSpec, role: str, wavelength_nm: ArrayLike) -> ArrayLike:
     return 2.0 * np.pi * crystal.index(role, wavelength_nm) / (np.asarray(wavelength_nm, float) * 1e-9)
@@ -515,13 +527,15 @@ def _peak_normalized(grid_nm: np.ndarray, density: np.ndarray) -> Spectrum:
     return spectrum
 
 
-def _shape_spectrum(grid_nm: np.ndarray, dk: np.ndarray, length_mm: float) -> Spectrum:
+def _qpm_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
+    grid = np.asarray(grid_nm, dtype=float)
+    dk = phase_mismatch(crystal, *crystal.waves(pump_nm, grid))
     # A crystal so long that dk * L overflows gives a NaN density, which
     # Spectrum rejects as not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = dk * (length_mm * 1e-3) / 2.0
+        arg = dk * (crystal.length_mm * 1e-3) / 2.0
         density = np.sinc(arg / np.pi) ** 2
-    return _peak_normalized(grid_nm, density)
+    return _peak_normalized(grid, density)
 
 
 def emission_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
@@ -532,12 +546,7 @@ def emission_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray)
     """
     if crystal.process != "spdc":
         raise ValueError("emission spectrum requires an SPDC crystal")
-    grid = np.asarray(grid_nm, dtype=float)
-    if np.any(grid <= pump_nm):
-        raise ValueError("signal wavelengths must exceed the pump wavelength")
-    idler = 1.0 / (1.0 / pump_nm - 1.0 / grid)
-    dk = phase_mismatch(crystal, pump_nm, grid, idler)
-    return _shape_spectrum(grid, dk, crystal.length_mm)
+    return _qpm_spectrum(crystal, pump_nm, grid_nm)
 
 
 def acceptance_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
@@ -548,10 +557,7 @@ def acceptance_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarra
     """
     if crystal.process != "sfg":
         raise ValueError("acceptance spectrum requires an SFG crystal")
-    grid = np.asarray(grid_nm, dtype=float)
-    sfg = 1.0 / (1.0 / pump_nm + 1.0 / grid)
-    dk = phase_mismatch(crystal, sfg, pump_nm, grid)
-    return _shape_spectrum(grid, dk, crystal.length_mm)
+    return _qpm_spectrum(crystal, pump_nm, grid_nm)
 
 
 def filtered_spectrum(emission: Spectrum, acceptance: Spectrum) -> Spectrum:

@@ -169,6 +169,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             read_summary("no separator here\n")
 
+    def test_read_summary_skips_blank_lines(self):
+        assert read_summary("a = 1\n\n  \nb = x\n") == {"a": "1", "b": "x"}
+
+    @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ("[nosuch]\nkey = 1\n", "unknown config section [nosuch]"),
+            (
+                "[budget]\ncollection = 0.5\nconversion_and_overlap = 0.064\ndecompose_conversion = true\n",
+                "bad value for [budget] decompose_conversion: ",
+            ),
+            (
+                "[budget]\n" + "".join(f"{key} = {value}\n" for key, value in _DEFAULT_STAGES)
+                + "decompose_conversion = true\n",
+                "bad value for [budget] decompose_conversion: ",
+            ),
+        ],
+        ids=["unknown-section", "decompose-with-listed-stages", "decompose-with-the-default-chain-listed"],
+    )
+    def test_config_error_is_one_line_and_writes_nothing(self, tmp_path, capsys, config, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        out = tmp_path / "o"
+        assert run_cli("--config", str(path), "--out", str(out), "budget") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"noonsim: error: {message}"), err
+        assert not out.exists()
+
 
 class TestReadme:
     def test_library_example_runs_without_warnings(self):

@@ -168,6 +168,20 @@ class TestCircuit:
         with pytest.raises(ValueError):
             CircuitElement("relabel", ("a", "b"), 1.0)
 
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: ns.beamsplitter(math.nan), "splitter angle must be finite"),
+            (lambda: ns.frequency_converter(math.inf), "conversion angle must be finite"),
+            (lambda: CircuitElement("phase", ("a", "b"), 0.1), "phase element needs 1 mode(s)"),
+        ],
+        ids=["splitter-nan", "converter-inf", "phase-on-two-modes"],
+    )
+    def test_invalid_argument_is_named(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is ValueError and str(info.value).startswith(message)
+
     def test_unknown_mode_propagates(self):
         psi = ns.basis_state(("a", "b"), {"a": 1})
         with pytest.raises(ns.ModeMismatchError):

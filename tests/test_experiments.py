@@ -511,6 +511,11 @@ class TestEfficiencyBudget:
         assert report.pair_vs_quoted == math.inf
         assert "quoted_over_pair_ratio = inf" in report.report_lines()
 
+    def test_no_quoted_value_gives_no_ratio(self):
+        report = ns.efficiency_budget(EfficiencyChain((("a", 0.5),)))
+        assert report.pair_vs_quoted is None
+        assert not any(line.startswith(("quoted", "note")) for line in report.report_lines())
+
     def test_unit_chain(self):
         report = ns.efficiency_budget(EfficiencyChain((("a", 1.0), ("b", 1.0))))
         assert report.single_arm == 1.0
@@ -587,6 +592,22 @@ class TestScanResult:
         cells[column] = str(bad)
         with pytest.raises(ValueError, match=f"^{name} values must be finite$"):
             ns.ScanResult.from_csv("param,expected,counts,sigma\n0,1,1,1\n" + ",".join(cells) + "\n")
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: ns.ScanResult([0.0], [1.0], [-1]), "counts must be nonnegative"),
+            (
+                lambda: ns.fit_visibility(ns.noon_fringe(1, 0.9, np.linspace(0, 6, 16), 600.0, 1.0, 1), 0),
+                "expected fringe order must be at least 1",
+            ),
+        ],
+        ids=["negative-count", "fringe-order-zero"],
+    )
+    def test_invalid_argument_is_named(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is ValueError and str(info.value).startswith(message)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

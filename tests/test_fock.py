@@ -222,3 +222,26 @@ class TestStateVectorValidation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             FockState.from_counts({"a": -1})
+
+    @pytest.mark.parametrize(
+        ("call", "error", "message"),
+        [
+            (lambda: ns.StateVector(("a",), {}).normalized(), ValueError, "cannot normalize the zero vector"),
+            (lambda: ns.basis_state(("a",), {"a": 7}), ns.CapacityError, "7 photons exceed the truncation of 6"),
+            (
+                lambda: ns.apply_two_mode_mixer(ns.basis_state(("a", "b"), {"a": 1}), np.eye(3), "a", "b"),
+                ValueError,
+                "expected a 2x2 matrix",
+            ),
+            (
+                lambda: ns.apply_two_mode_mixer(ns.basis_state(("a", "b"), {"a": 1}), np.eye(2), "a", "a"),
+                ValueError,
+                "mixer modes must be distinct",
+            ),
+        ],
+        ids=["normalize-zero", "basis-over-capacity", "mixer-3x3", "mixer-same-mode"],
+    )
+    def test_invalid_argument_is_named(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert info.type is error and str(info.value).startswith(message)

@@ -157,6 +157,77 @@ class TestCrystalSpec:
         with pytest.raises(ValueError):
             replace(spdc_crystal, **{field: bad})
 
+    def test_waves_follow_energy_conservation(self, spdc_crystal, sfg_crystal, default_grid):
+        assert spdc_crystal.waves(PUMP_SPDC_NM, SIGNAL_NM) == pytest.approx((PUMP_SPDC_NM, SIGNAL_NM, SIGNAL_NM))
+        assert sfg_crystal.waves(PUMP_SFG_NM, SIGNAL_NM) == (SFG_NM, PUMP_SFG_NM, SIGNAL_NM)
+        for crystal, pump in ((spdc_crystal, PUMP_SPDC_NM), (sfg_crystal, PUMP_SFG_NM)):
+            a, b, c = crystal.waves(pump, default_grid)
+            assert np.allclose(1.0 / a, 1.0 / b + 1.0 / c, rtol=1e-12, atol=0.0)
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        ("call", "error", "message"),
+        [
+            (
+                lambda spdc, sfg: replace(spdc.dispersion["nz"], lambda_min_um=spdc.dispersion["nz"].lambda_max_um),
+                ValueError,
+                "validity window must satisfy 0 < min < max",
+            ),
+            (lambda spdc, sfg: replace(spdc, process="shg"), ValueError, "process must be one of"),
+            (
+                lambda spdc, sfg: replace(spdc, axes={"pump": "ny", "signal": "ny"}),
+                ValueError,
+                "axes must map exactly the roles",
+            ),
+            (
+                lambda spdc, sfg: ns.Spectrum(np.ones((3, 3)), np.ones((3, 3))),
+                ns.GridError,
+                "grid and density must be 1-D",
+            ),
+            (
+                lambda spdc, sfg: ns.fwhm(ns.Spectrum(np.arange(3.0), np.zeros(3))),
+                ns.PeakError,
+                "density has no positive peak",
+            ),
+            (
+                lambda spdc, sfg: ns.emission_spectrum(spdc, PUMP_SPDC_NM, np.linspace(700.0, 1600.0, 64)),
+                ValueError,
+                "pump, signal and idler wavelengths must be positive and finite",
+            ),
+            (
+                lambda spdc, sfg: spdc.waves(PUMP_SPDC_NM, math.nan),
+                ValueError,
+                "pump, signal and idler wavelengths must be positive and finite",
+            ),
+            (
+                lambda spdc, sfg: sfg.waves(0.0, SIGNAL_NM),
+                ValueError,
+                "sfg, pump and signal wavelengths must be positive and finite",
+            ),
+            (
+                lambda spdc, sfg: sfg.waves(PUMP_SFG_NM, -SIGNAL_NM),
+                ValueError,
+                "sfg, pump and signal wavelengths must be positive and finite",
+            ),
+        ],
+        ids=[
+            "window-min-at-max",
+            "unknown-process",
+            "axes-miss-a-role",
+            "two-dimensional-grid",
+            "fwhm-of-zero-density",
+            "emission-grid-below-pump",
+            "nan-signal",
+            "zero-converter-pump",
+            "negative-converter-signal",
+        ],
+    )
+    def test_invalid_argument_is_named(self, spdc_crystal, sfg_crystal, call, error, message):
+        with pytest.raises(error) as info:
+            call(spdc_crystal, sfg_crystal)
+        assert info.type is error and str(info.value).startswith(message)
+
 
 class TestSpectra:
     def test_emission_peaks_at_degeneracy(self, spdc_crystal):
