@@ -15,7 +15,7 @@ import math
 import sys
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +199,8 @@ def _coerce(raw: str, hint: object) -> object:
             return None
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
     if hint is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
+        if raw.lower() in configparser.ConfigParser.BOOLEAN_STATES:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         raise ValueError(f"expected a boolean, got {raw!r}")
     if hint is int:
         value = int(raw)
@@ -436,21 +434,12 @@ def cmd_fringe(cfg: RunConfig) -> dict[str, str]:
 
     ratio = reports[2].frequency / reports[1].frequency
     verdict = xp.sql_verdict(reports[2].visibility, reports[2].visibility_sigma, 2)
-    pairs: list[tuple[str, object]] = []
-    for n in (1, 2):
-        rep = reports[n]
-        pairs.extend(
-            [
-                (f"n{n}_visibility", rep.visibility),
-                (f"n{n}_visibility_sigma", rep.visibility_sigma),
-                (f"n{n}_frequency", rep.frequency),
-                (f"n{n}_frequency_sigma", rep.frequency_sigma),
-                (f"n{n}_phase_offset_rad", rep.phase_offset),
-                (f"n{n}_amplitude", rep.amplitude),
-                (f"n{n}_residual_norm", rep.residual_norm),
-                (f"n{n}_clamped", rep.clamped),
-            ]
-        )
+    # Every FitReport field, in declaration order; the phase offset carries its unit.
+    pairs: list[tuple[str, object]] = [
+        (f"n{n}_{key}" + ("_rad" if key == "phase_offset" else ""), value)
+        for n in (1, 2)
+        for key, value in asdict(reports[n]).items()
+    ]
     pairs.append(("period_ratio_n2_over_n1", ratio))
     pairs.append(("sql_threshold", verdict.threshold))
     pairs.append(("beats_sql", verdict.beats_sql))

@@ -629,10 +629,12 @@ class BudgetReport:
         if self.quoted_overall is not None:
             lines.append(f"quoted_overall = {self.quoted_overall:.6g}")
             lines.append(f"quoted_over_pair_ratio = {self.pair_vs_quoted:.6g}")
-            lines.append(
-                "note = quoted overall is described per signal photon but matches "
-                "the pair product, not the single-arm product; both are reported"
-            )
+            # "Matches" means within a factor of 2; pair > 0 once the first test passes.
+            if 0.5 <= self.pair_vs_quoted <= 2.0 and not 0.5 <= self.quoted_overall / self.single_arm <= 2.0:
+                lines.append(
+                    "note = quoted overall is described per signal photon but matches "
+                    "the pair product, not the single-arm product; both are reported"
+                )
         return lines
 
 

@@ -9,6 +9,7 @@ may be evaluated concurrently.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,6 +106,8 @@ class StateVector:
             if unknown:
                 raise ModeMismatchError(f"basis state {fock} uses undeclared modes {sorted(unknown)}")
             amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude of {fock} must be finite, got {amp!r}")
             if abs(amp) > AMPLITUDE_ATOL:
                 cleaned[fock] = amp
         self.amplitudes = cleaned
@@ -192,6 +195,8 @@ def _check_unitary(matrix: np.ndarray) -> np.ndarray:
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError(f"matrix entries must be finite, got {u.tolist()}")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
     if dev > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (max |U†U - I| = {dev:.3e})")
@@ -238,6 +243,8 @@ def apply_phase(state: StateVector, mode: ModeId, phi: float) -> StateVector:
     """Multiply each basis amplitude by exp(i * n * phi) for the photon count n in ``mode``."""
     if mode not in state.modes:
         raise ModeMismatchError(f"mode {mode!r} not in state modes {state.modes!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     factor = complex(np.exp(1j * phi))
     return StateVector(
         state.modes,

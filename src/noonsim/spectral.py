@@ -10,6 +10,7 @@ The refractive-index data itself ships as a plain-text coefficient file
 
 from __future__ import annotations
 
+import configparser
 import io
 import itertools
 import math
@@ -124,31 +125,21 @@ def refractive_index(coeffs: SellmeierCoefficients, wavelength_nm: ArrayLike) ->
 
 
 def parse_sellmeier(text: str) -> dict[str, SellmeierCoefficients]:
-    """Parse the coefficient file format (sections of ``key = value`` lines)."""
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name in sections:
-                raise ValueError(f"duplicate section {name!r} at line {lineno}")
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ValueError(f"expected 'key = value' at line {lineno}: {raw!r}")
-        if current is None:
-            raise ValueError(f"key/value outside any section at line {lineno}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current:
-            raise ValueError(f"duplicate key {key!r} in section {name!r} at line {lineno}")
-        current[key] = value.strip()
+    """Parse the coefficient file format: INI sections of ``key = value`` lines, read by configparser."""
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",), interpolation=None, default_section=""
+    )
+    parser.optionxform = str
+    try:
+        parser.read_string(text, source="Sellmeier data")
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"duplicate key {exc.option!r} in section {exc.section!r} at line {exc.lineno}") from exc
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from exc
 
     out: dict[str, SellmeierCoefficients] = {}
-    for name, fields in sections.items():
+    for name in parser.sections():
+        fields = parser[name]
         missing = [k for k in (*_SELLMEIER_FIELDS, "source") if k not in fields]
         if missing:
             raise ValueError(f"section {name!r} missing keys: {missing}")

@@ -58,9 +58,13 @@ RANGES = (
     ("fringe", "plate_tilt_min_rad", "plate_tilt_max_rad"),
 )
 
+#: Edge values of a float key.
+FLOAT_EDGES = ["0", "-1", "1e-300", "1e300", "1e308", "-1e308"]
+
 
 def edge_cases():
-    """(section, key, config lines) per schema key, its type's edge values, then both ends of each range at +-1e308.
+    """(section, key, config lines) per schema key and per default budget stage, its type's edge values, then both
+    ends of each range at +-1e308.
 
     A seed is any nonnegative integer and the Sellmeier file has its own tests, so neither is swept.  A point
     count's edges are 0-8 and its cap, except that a fringe at its 10**6-point cap takes about 2 s and 0.5 GB.
@@ -75,9 +79,10 @@ def edge_cases():
         elif hint is str:
             values = ["junk", "plate"] if key == "axis" else ["junk"]
         else:
-            values = ["0", "-1", "1e-300", "1e300", "1e308", "-1e308"]
-            values += ["none"] if type(None) in typing.get_args(hint) else []
+            values = FLOAT_EDGES + (["none"] if type(None) in typing.get_args(hint) else [])
         yield pytest.param(section, key, [f"{key} = {value}" for value in values], id=f"{section}-{key}")
+    for key, _ in _DEFAULT_STAGES:
+        yield pytest.param("budget", key, [f"{key} = {value}" for value in FLOAT_EDGES], id=f"budget-{key}")
     for section, low, high in RANGES:
         lines = [f"{low} = -1e308\n{high} = 1e308", f"{low} = 1e308\n{high} = -1e308"]
         yield pytest.param(section, low, lines, id=f"{section}-{low}-{high}")

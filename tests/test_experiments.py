@@ -511,6 +511,21 @@ class TestEfficiencyBudget:
         assert report.pair_vs_quoted == math.inf
         assert "quoted_over_pair_ratio = inf" in report.report_lines()
 
+    @pytest.mark.parametrize(
+        ("stages", "quoted", "noted"),
+        [
+            (REFERENCE_STAGES, 2.0e-6, True),  # ratio 1.195: matches the pair product only
+            ((("collection", 0.5), ("conversion_and_overlap", 0.064)), 2.0e-6, False),  # ratio 0.00195
+            ((("collection", 0.0),), 2.0e-6, False),  # ratio inf
+            ((("a", 0.9),), 0.85, False),  # within a factor of 2 of both products
+            ((("a", 0.5),), 0.1, False),  # ratio 0.4: just outside a factor of 2
+        ],
+        ids=["pair-only", "far-below", "zero-stage", "both", "factor-2.5"],
+    )
+    def test_note_only_when_quoted_matches_pair_not_single_arm(self, stages, quoted, noted):
+        lines = ns.efficiency_budget(EfficiencyChain(stages), quoted_overall=quoted).report_lines()
+        assert any(line.startswith("note = ") for line in lines) == noted, lines
+
     def test_no_quoted_value_gives_no_ratio(self):
         report = ns.efficiency_budget(EfficiencyChain((("a", 0.5),)))
         assert report.pair_vs_quoted is None

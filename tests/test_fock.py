@@ -1,11 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import noonsim as ns
 from noonsim.fock import FockState
+
+#: A photon pair on two modes, the input of a HOM dip.
+PAIR = ns.basis_state(("a", "b"), {"a": 1, "b": 1})
 
 
 def random_unitary(rng):
@@ -245,3 +249,35 @@ class TestStateVectorValidation:
         with pytest.raises(error) as info:
             call()
         assert info.type is error and str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (
+                lambda: ns.apply_two_mode_mixer(PAIR, np.full((2, 2), np.nan), "a", "b"),
+                "matrix entries must be finite, got [[(nan+0j)",
+            ),
+            (
+                lambda: ns.apply_two_mode_mixer(PAIR, np.diag([np.inf, 1.0]), "a", "b"),
+                "matrix entries must be finite, got [[(inf+0j)",
+            ),
+            (lambda: ns.apply_phase(PAIR, "a", math.nan), "phase must be finite, got nan"),
+            (lambda: ns.apply_phase(PAIR, "a", -math.inf), "phase must be finite, got -inf"),
+            (
+                lambda: ns.StateVector(("a",), {FockState.from_counts({"a": 1}): math.nan}),
+                "amplitude of FockState(occupations=(('a', 1),)) must be finite, got (nan+0j)",
+            ),
+            (
+                lambda: ns.StateVector(("a",), {FockState.from_counts({"a": 1}): complex(0.0, math.inf)}),
+                "amplitude of FockState(occupations=(('a', 1),)) must be finite, got infj",
+            ),
+        ],
+        ids=["mixer-nan", "mixer-inf", "phase-nan", "phase-inf", "amplitude-nan", "amplitude-inf"],
+    )
+    def test_non_finite_value_is_named(self, call, message):
+        # NaN used to pass every check and leave an empty state that detects as a perfect null.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call()
+        assert str(info.value).startswith(message), str(info.value)

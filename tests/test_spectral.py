@@ -66,6 +66,29 @@ class TestSellmeierData:
             with pytest.raises(ValueError, match=rf"^section 'ny' has non-finite values for \['{key}'\]$"):
                 ns.parse_sellmeier(text)
 
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            # configparser's syntax, as in run configs: an indented line continues the value above it ...
+            ("\nc1 = ", "\n  c1 = ", r"^section 'ny' missing keys: \['c1'\]$"),
+            # ... and a key must not be empty.
+            ("[ny]\n", "[ny]\n= 3\n", r"\[line 7\]: '= 3\\n'$"),
+            # No section supplies defaults to the others: [DEFAULT] is an ordinary axis.
+            ("[ny]", "[DEFAULT]", None),
+        ],
+        ids=["indented-key", "empty-key", "default-section"],
+    )
+    def test_configparser_syntax(self, old, new, message):
+        packaged = ns.serialize_sellmeier(ns.load_sellmeier())
+        text = packaged.replace(old, new, 1)
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                ns.parse_sellmeier(text)
+            return
+        parsed = ns.parse_sellmeier(text)
+        assert list(parsed) == ["DEFAULT", "nz"]
+        assert parsed["DEFAULT"] == replace(ns.load_sellmeier()["ny"], name="DEFAULT")
+
 
 class TestPhaseMismatch:
     def test_zero_at_solved_period_and_degeneracy(self, spdc_crystal, sfg_crystal):
