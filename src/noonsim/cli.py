@@ -220,11 +220,8 @@ def _coerce(raw: str, hint: object) -> object:
 # ---------------------------------------------------------------------------
 
 
-#: Config section, process and crystal type of each crystal, the source first.
-_CRYSTALS = (("source_crystal", "spdc", "type-II"), ("converter_crystal", "sfg", "type-I"))
-#: The fields each spectrum depends on beyond the grid: its crystal's length and pinned poling period.
-_EMISSION_KEYS = ("spdc_length_mm", "spdc_poling_um")
-_ACCEPTANCE_KEYS = ("sfg_length_mm", "sfg_poling_um")
+#: Config section -> process and crystal type of its crystal, the source first.
+_CRYSTALS = {"source_crystal": ("spdc", "type-II"), "converter_crystal": ("sfg", "type-I")}
 #: RunConfig field name -> (section, key).
 _KEYS = {name: section_key for section_key, (name, _) in _SCHEMA.items()}
 
@@ -249,29 +246,25 @@ def _naming(cfg: RunConfig, *fields: str):
         raise ConfigError(f"{prefix}: {exc}") from exc
 
 
-def _build_crystals(cfg: RunConfig) -> tuple[sp.CrystalSpec, sp.CrystalSpec]:
-    """SPDC and SFG crystals with poling solved unless pinned in config."""
-    dispersion = sp.load_sellmeier(cfg.sellmeier_file)
-    crystals = []
-    for section, process, crystal_type in _CRYSTALS:
-        prefix = _SECTIONS[section]
-        pump_nm, signal_nm, poling_um = (getattr(cfg, prefix + key) for key in ("pump_nm", "signal_nm", "poling_um"))
-        axes = {role: f"{prefix}{role}_axis" for role in sp.WAVE_ORDER[process]}
-        with _naming(cfg, prefix + "length_mm", prefix + "poling_um", *axes.values()):
-            crystal = sp.CrystalSpec(
-                length_mm=getattr(cfg, prefix + "length_mm"),
-                poling_period_um=1.0 if poling_um is None else poling_um,
-                process=process,
-                crystal_type=crystal_type,
-                axes={role: getattr(cfg, field) for role, field in axes.items()},
-                dispersion=dispersion,
-            )
-        with _naming(cfg, prefix + "pump_nm", prefix + "signal_nm"):
-            targets = crystal.waves(pump_nm, signal_nm)
-            if poling_um is None:
-                crystal = sp.with_solved_poling(crystal, targets)
-        crystals.append(crystal)
-    return tuple(crystals)
+def _crystal(cfg: RunConfig, section: str, dispersion: dict[str, sp.SellmeierCoefficients]) -> sp.CrystalSpec:
+    """The crystal of config ``section``, its poling solved unless pinned in config."""
+    (process, crystal_type), prefix = _CRYSTALS[section], _SECTIONS[section]
+    pump_nm, signal_nm, poling_um = (getattr(cfg, prefix + key) for key in ("pump_nm", "signal_nm", "poling_um"))
+    axes = {role: f"{prefix}{role}_axis" for role in sp.WAVE_ORDER[process]}
+    with _naming(cfg, prefix + "length_mm", prefix + "poling_um", *axes.values()):
+        crystal = sp.CrystalSpec(
+            length_mm=getattr(cfg, prefix + "length_mm"),
+            poling_period_um=1.0 if poling_um is None else poling_um,
+            process=process,
+            crystal_type=crystal_type,
+            axes={role: getattr(cfg, field) for role, field in axes.items()},
+            dispersion=dispersion,
+        )
+    with _naming(cfg, prefix + "pump_nm", prefix + "signal_nm"):
+        targets = crystal.waves(pump_nm, signal_nm)
+        if poling_um is None:
+            crystal = sp.with_solved_poling(crystal, targets)
+    return crystal
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -297,18 +290,21 @@ def _axis(cfg: RunConfig, low: str, high: str, points: str) -> np.ndarray:
     return np.linspace(getattr(cfg, low), getattr(cfg, high), getattr(cfg, points))
 
 
+def _spectrum(cfg: RunConfig, crystal: sp.CrystalSpec, grid: np.ndarray) -> sp.Spectrum:
+    """The source's emission or the converter's acceptance spectrum on ``grid``; an error names its crystal's keys."""
+    prefix = crystal.process + "_"  # the crystal's _SECTIONS prefix
+    build = sp.emission_spectrum if crystal.process == "spdc" else sp.acceptance_spectrum
+    with _naming(cfg, prefix + "length_mm", prefix + "poling_um"):
+        return build(crystal, getattr(cfg, prefix + "pump_nm"), grid)
+
+
 def _spectra(cfg: RunConfig) -> tuple[sp.Spectrum, sp.Spectrum, sp.Spectrum, sp.CrystalSpec, sp.CrystalSpec]:
-    spdc, sfg = _build_crystals(cfg)
+    dispersion = sp.load_sellmeier(cfg.sellmeier_file)
+    spdc, sfg = (_crystal(cfg, section, dispersion) for section in _CRYSTALS)
     grid = _grid(cfg)
-    with _naming(cfg, *_EMISSION_KEYS):
-        emission = sp.emission_spectrum(spdc, cfg.spdc_pump_nm, grid)
-    if cfg.grid_unit_acceptance:
-        acceptance = sp.Spectrum(grid, np.ones_like(grid))
-    else:
-        with _naming(cfg, *_ACCEPTANCE_KEYS):
-            acceptance = sp.acceptance_spectrum(sfg, cfg.sfg_pump_nm, grid)
-    filtered = sp.filtered_spectrum(emission, acceptance)
-    return emission, acceptance, filtered, spdc, sfg
+    emission = _spectrum(cfg, spdc, grid)
+    acceptance = sp.Spectrum(grid, np.ones_like(grid)) if cfg.grid_unit_acceptance else _spectrum(cfg, sfg, grid)
+    return emission, acceptance, sp.filtered_spectrum(emission, acceptance), spdc, sfg
 
 
 def _summary(pairs: list[tuple[str, object]]) -> str:
@@ -344,15 +340,16 @@ def read_summary(text: str) -> dict[str, str]:
 def cmd_spectra(cfg: RunConfig) -> dict[str, str]:
     emission, acceptance, filtered, spdc, sfg = _spectra(cfg)
 
-    def fwhm(spectrum: sp.Spectrum, *keys: str) -> float:
+    def fwhm(spectrum: sp.Spectrum, *prefixes: str) -> float:
+        keys = (prefix + key for prefix in prefixes for key in ("length_mm", "poling_um"))
         with _naming(cfg, "grid_points", "grid_span_nm", *keys):
             return sp.fwhm(spectrum)
 
     summary = _summary(
         [
-            ("emission_fwhm_nm", fwhm(emission, *_EMISSION_KEYS)),
-            ("acceptance_fwhm_nm", fwhm(acceptance, *_ACCEPTANCE_KEYS) if not cfg.grid_unit_acceptance else math.nan),
-            ("filtered_fwhm_nm", fwhm(filtered, *_EMISSION_KEYS, *_ACCEPTANCE_KEYS)),
+            ("emission_fwhm_nm", fwhm(emission, "spdc_")),
+            ("acceptance_fwhm_nm", fwhm(acceptance, "sfg_") if not cfg.grid_unit_acceptance else math.nan),
+            ("filtered_fwhm_nm", fwhm(filtered, "spdc_", "sfg_")),
             ("emission_clipped", emission.clipped),
             ("acceptance_clipped", acceptance.clipped),
             ("filtered_clipped", filtered.clipped),
@@ -388,7 +385,7 @@ def cmd_hom(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_bunching(cfg: RunConfig) -> dict[str, str]:
-    emission, _, _, _, _ = _spectra(cfg)
+    emission = _spectrum(cfg, _crystal(cfg, "source_crystal", sp.load_sellmeier(cfg.sellmeier_file)), _grid(cfg))
     axis = ("bunching_delay_min_mm", "bunching_delay_max_mm", "bunching_delay_points")
     delays = _axis(cfg, *axis)
     with _naming(cfg, "bunching_gamma", *axis, "bunching_rate_hz", "bunching_t_bin_s"):

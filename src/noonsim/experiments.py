@@ -317,7 +317,11 @@ def noon_fringe(
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     phases = np.asarray(phases_rad, dtype=float)
-    shape = (1.0 + visibility * np.cos(n_photons * phases + FRINGE_PHASE_OFFSET)) / 2.0
+    with np.errstate(over="ignore"):
+        theta = n_photons * phases + FRINGE_PHASE_OFFSET
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("phases times the photon number must be finite")
+    shape = (1.0 + visibility * np.cos(theta)) / 2.0
     return _finish_scan(phases, rate_hz, t_bin_s, shape, seed, noiseless)
 
 

@@ -239,16 +239,17 @@ def _material_mismatch(
     The grating term 2pi/period enters the full mismatch with the returned
     sign: +1 for SPDC, -1 for SFG.
     """
-    inv_a = 1.0 / np.asarray(lambda_a_nm, float)
-    inv_bc = 1.0 / np.asarray(lambda_b_nm, float) + 1.0 / np.asarray(lambda_c_nm, float)
-    if np.any(np.abs(inv_a - inv_bc) > 1e-6 * inv_a):
-        raise ValueError("wavelengths violate energy conservation (1/a = 1/b + 1/c)")
     role_a, role_b, role_c = WAVE_ORDER[crystal.process]
+    # The indices come first: their validity windows reject a wavelength that is not positive and finite.
     material = (
         _wavevector(crystal, role_a, lambda_a_nm)
         - _wavevector(crystal, role_b, lambda_b_nm)
         - _wavevector(crystal, role_c, lambda_c_nm)
     )
+    inv_a = 1.0 / np.asarray(lambda_a_nm, float)
+    inv_bc = 1.0 / np.asarray(lambda_b_nm, float) + 1.0 / np.asarray(lambda_c_nm, float)
+    if np.any(np.abs(inv_a - inv_bc) > 1e-6 * inv_a):
+        raise ValueError("wavelengths violate energy conservation (1/a = 1/b + 1/c)")
     return material, (1.0 if crystal.process == "spdc" else -1.0)
 
 
@@ -685,4 +686,7 @@ def coherence_length(center_nm: float, bandwidth_nm: float) -> float:
         raise ValueError(f"center wavelength must be positive and finite, got {center_nm}")
     if not 0.0 < bandwidth_nm < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_nm}")
-    return (2.0 * math.log(2.0) / math.pi) * center_nm**2 / bandwidth_nm * 1e-6
+    length_mm = (2.0 * math.log(2.0) / math.pi) * center_nm * center_nm / bandwidth_nm * 1e-6
+    if not math.isfinite(length_mm):
+        raise ValueError(f"coherence length of {center_nm} nm over {bandwidth_nm} nm overflows")
+    return length_mm

@@ -42,7 +42,7 @@ def summary(path):
 READERS = {
     "run": tuple(_COMMANDS),
     "source_crystal": ("spectra", "hom", "bunching"),
-    "converter_crystal": ("spectra", "hom", "bunching"),
+    "converter_crystal": ("spectra", "hom"),
     "grid": ("spectra", "hom", "bunching"),
     "hom": ("hom",),
     "bunching": ("bunching",),
@@ -425,6 +425,34 @@ class TestInvalidInput:
                 assert len(err) == 1 and err[0].startswith("noonsim: error: ") and not out.exists(), case
                 assert section in ("run", "budget") or names_key(err[0], section, key), case
 
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize(
+        ("section", "line"),
+        [
+            ("source_crystal", "signal_nm = 5000"),
+            ("converter_crystal", "pump_nm = 300"),
+            ("converter_crystal", "length_mm = 1e300"),
+            ("grid", "span_nm = 0"),
+            ("hom", "rate_hz = -1"),
+            ("bunching", "rate_hz = -1"),
+            ("fringe", "axis = junk"),
+        ],
+    )
+    def test_a_command_checks_only_the_sections_it_reads(self, tmp_path, capsys, section, line, command):
+        # A bad value fails the commands that read its section, naming it, and no other: they write the
+        # bytes of a run without the config.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        status = run_cli("--config", str(cfg), "--out", str(tmp_path / "bad"), command)
+        err = capsys.readouterr().err.splitlines()
+        if command in READERS[section]:
+            assert status == 1 and len(err) == 1 and err[0].startswith(f"noonsim: error: [{section}] "), err
+            return
+        assert status == 0 and not err
+        assert run_cli("--out", str(tmp_path / "default"), command) == 0
+        written = [{path.name: path.read_bytes() for path in (tmp_path / out).iterdir()} for out in ("bad", "default")]
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize(
         ("section", "length"), [("source_crystal", "1e200"), ("converter_crystal", "1e300"), ("source_crystal", "1e308")]
     )
@@ -511,7 +539,11 @@ class TestInvalidInput:
     def test_poling_solve_error_names_its_section(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{config}\n")
-        assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command) == 1
+        status = run_cli("--config", str(cfg), "--out", str(tmp_path / "o"), command)
+        if command not in READERS[config[1 : config.index("]")]]:
+            assert status == 0 and not capsys.readouterr().err  # bunching builds no converter crystal
+            return
+        assert status == 1
         assert capsys.readouterr().err == f"noonsim: error: {message}\n"
 
     @pytest.mark.parametrize(

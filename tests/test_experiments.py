@@ -244,6 +244,14 @@ class TestNoonFringe:
             f[n] = ns.fit_visibility(scan, n).frequency
         assert f[2] / f[1] == pytest.approx(2.0, abs=0.02)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, 1e308])
+    def test_phase_not_finite_times_n_rejected(self, phase):
+        # cos of such a phase used to warn before the scan was rejected.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phases times the photon number must be finite"):
+                ns.noon_fringe(2, 0.5, [0.0, phase], 1.0, 1.0, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ns.noon_fringe(0, 0.5, [0.0], 1.0, 1.0, 0)
@@ -408,6 +416,21 @@ class TestFitVisibility:
             assert isinstance(report, ns.FitReport)
             reports += 1
         assert reports > 150
+
+    @pytest.mark.parametrize("seed", [11, 29, 45])
+    def test_negative_frequency_is_reported_as_its_mirror(self, monkeypatch, seed):
+        # With no fringe the free frequency can converge below zero.  cos is
+        # even, so the report takes f -> -f and phi0 -> -phi0: the same curve.
+        optima = []
+        score = experiments._score_fringe
+        monkeypatch.setattr(experiments, "_score_fringe", lambda *args: optima.append(score(*args)) or optima[-1])
+        phases = np.linspace(0.0, 2 * np.pi, 96)
+        report = ns.fit_visibility(ns.noon_fringe(1, 0.0, phases, 600.0, 1.0, seed), 1)
+        (c0, vis, freq, phi0), _, _ = optima[-1]
+        assert freq < 0.0 < report.frequency
+        assert abs(report.phase_offset) <= math.pi
+        curve = report.amplitude * (1.0 + report.visibility * np.cos(report.frequency * phases + report.phase_offset))
+        np.testing.assert_allclose(curve, c0 * (1.0 + vis * np.cos(freq * phases + phi0)), rtol=1e-9)
 
     def test_flat_data_has_no_fringe(self):
         phases = np.linspace(0.0, 2 * np.pi, 32)

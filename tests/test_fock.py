@@ -250,6 +250,13 @@ class TestStateVectorValidation:
             call()
         assert info.type is error and str(info.value).startswith(message)
 
+    def test_huge_entry_is_not_unitary(self):
+        # U†U of a 1e300 entry used to overflow with a warning before the unitarity check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^matrix is not unitary \(max \|U†U - I\| = inf\)$"):
+                ns.apply_two_mode_mixer(PAIR, np.diag([1e300, 1.0]), "a", "b")
+
     @pytest.mark.parametrize(
         ("call", "message"),
         [

@@ -120,6 +120,15 @@ class TestPhaseMismatch:
         with pytest.raises(ValueError):
             ns.phase_mismatch(spdc_crystal, PUMP_SPDC_NM, SIGNAL_NM, 1500.0)
 
+    @pytest.mark.parametrize(
+        "waves", [(0.0, SIGNAL_NM, SIGNAL_NM), (PUMP_SPDC_NM, -0.0, SIGNAL_NM), (PUMP_SPDC_NM, SIGNAL_NM, math.inf)]
+    )
+    def test_wavelength_rejected_before_it_is_divided_by(self, spdc_crystal, waves):
+        # A zero wavelength used to warn of a division by zero before the energy check raised.
+        for call in (ns.phase_mismatch, lambda crystal, *lams: ns.solve_poling_period(crystal, lams)):
+            with pytest.raises(ns.WavelengthRangeError, match="wavelength outside validity window"):
+                call(spdc_crystal, *waves)
+
 
 class TestSolvePolingPeriod:
     def test_type_two_downconversion_period(self, spdc_crystal):
@@ -503,6 +512,12 @@ class TestCoherenceLength:
     )
     def test_non_finite_or_nonpositive_argument_rejected(self, center_nm, bandwidth_nm, message):
         with pytest.raises(ValueError, match=f"^{message} must be positive and finite"):
+            ns.coherence_length(center_nm, bandwidth_nm)
+
+    @pytest.mark.parametrize(("center_nm", "bandwidth_nm"), [(1e300, 1.5), (1e200, 1e-300), (1547.0, 1e-310)])
+    def test_overflowing_length_rejected(self, center_nm, bandwidth_nm):
+        # The first two raised OverflowError, the third returned inf.
+        with pytest.raises(ValueError, match="overflows$"):
             ns.coherence_length(center_nm, bandwidth_nm)
 
 
