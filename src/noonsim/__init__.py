@@ -6,11 +6,7 @@ down to Monte Carlo photon counting and visibility fits.
 """
 
 from .fock import (
-    CapacityError,
-    DEFAULT_MAX_PHOTONS,
     FockState,
-    ModeId,
-    ModeMismatchError,
     StateVector,
     apply_phase,
     apply_two_mode_mixer,
@@ -32,12 +28,8 @@ from .elements import (
 )
 from .spectral import (
     CrystalSpec,
-    GridError,
-    NoSolutionError,
-    PeakError,
     SellmeierCoefficients,
     Spectrum,
-    WavelengthRangeError,
     acceptance_spectrum,
     coherence_length,
     emission_spectrum,

@@ -235,7 +235,7 @@ def _naming(cfg: RunConfig, *fields: str):
     """
     try:
         yield
-    except (sp.SpectralError, xp.FitError, ValueError) as exc:
+    except ValueError as exc:
         groups: dict[str, list[str]] = {}
         for field in fields:
             section, key = _KEYS[field]
@@ -496,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8")
         return 0
-    except (ConfigError, sp.SpectralError, xp.FitError, ValueError, OSError, MemoryError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"noonsim: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from .elements import CircuitElement, Circuit, apply_circuit
 from .spectral import Spectrum, _read_csv, _write_csv, overlap_kernel
 
 
-class FitError(Exception):
+class FitError(ValueError):
     """Raised when a scan shows no fringe or its fit cannot converge."""
 
 
@@ -190,7 +190,7 @@ class ScanResult:
     def __post_init__(self):
         self.param = np.asarray(self.param, dtype=float)
         self.expected = np.asarray(self.expected, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = np.asarray(self.counts)
         if not (self.param.shape == self.expected.shape == self.counts.shape):
             raise ValueError("param, expected, and counts must have equal shapes")
         if self.param.size == 0:
@@ -200,8 +200,14 @@ class ScanResult:
                 raise ValueError(f"{name} values must be finite")
         if np.any(self.expected < 0):
             raise ValueError("expected rates must be nonnegative")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
+        if self.counts.dtype.kind == "i":
+            whole = self.counts >= 0
+        else:  # checked as floats, which the integer cast would truncate, wrap or warn on
+            values = self.counts.astype(float)
+            whole = (values >= 0) & (values < 2.0**63) & (np.floor(values) == values)
+        if not np.all(whole):
+            raise ValueError("counts must be nonnegative whole numbers below 2^63")
+        self.counts = self.counts.astype(np.int64, copy=False)
 
     def data(self) -> np.ndarray:
         """What downstream analysis should treat as the measurement."""

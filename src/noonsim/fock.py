@@ -32,16 +32,8 @@ AMPLITUDE_ATOL = 1e-12
 UNITARY_ATOL = 1e-12
 
 
-class FockError(Exception):
-    """Base class for Fock-space errors."""
-
-
-class CapacityError(FockError):
-    """Raised when a state or basis would exceed a configured size limit."""
-
-
-class ModeMismatchError(FockError):
-    """Raised when an operation references modes a state does not declare."""
+class FockError(ValueError):
+    """A state or basis over its size limit, or modes a state does not declare."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,7 @@ class StateVector:
         for fock, amp in self.amplitudes.items():
             unknown = set(fock.modes()) - mode_set
             if unknown:
-                raise ModeMismatchError(f"basis state {fock} uses undeclared modes {sorted(unknown)}")
+                raise FockError(f"basis state {fock} uses undeclared modes {sorted(unknown)}")
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {fock} must be finite, got {amp!r}")
@@ -138,7 +130,7 @@ def enumerate_basis(
         raise ValueError("mode list must be nonempty")
     size = math.comb(n_photons + len(modes) - 1, n_photons)
     if size > max_states:
-        raise CapacityError(f"basis of {size} states exceeds the limit of {max_states}")
+        raise FockError(f"basis of {size} states exceeds the limit of {max_states}")
 
     # Each multiset of modes is one pattern; sort its occupation tuples into the documented order.
     occupations = sorted(
@@ -151,7 +143,7 @@ def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateV
     """A single occupation-number state as a normalized vector."""
     fock = FockState.from_counts(counts)
     if fock.total() > DEFAULT_MAX_PHOTONS:
-        raise CapacityError(f"{fock.total()} photons exceed the truncation of {DEFAULT_MAX_PHOTONS}")
+        raise FockError(f"{fock.total()} photons exceed the truncation of {DEFAULT_MAX_PHOTONS}")
     return StateVector(tuple(modes), {fock: 1.0 + 0j})
 
 
@@ -165,7 +157,7 @@ def noon_state(
     if n_photons < 1:
         raise ValueError("photon number must be at least 1")
     if n_photons > n_max:
-        raise CapacityError(f"{n_photons} photons exceed the truncation of {n_max}")
+        raise FockError(f"{n_photons} photons exceed the truncation of {n_max}")
     amp = 1.0 / math.sqrt(2.0)
     return StateVector(
         (mode_a, mode_b),
@@ -179,7 +171,7 @@ def noon_state(
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b> over a shared mode set."""
     if set(a.modes) != set(b.modes):
-        raise ModeMismatchError(f"mode sets differ: {sorted(a.modes)} vs {sorted(b.modes)}")
+        raise FockError(f"mode sets differ: {sorted(a.modes)} vs {sorted(b.modes)}")
     shared = a.amplitudes.keys() & b.amplitudes.keys()
     return sum((a.amplitudes[f].conjugate() * b.amplitudes[f] for f in shared), 0j)
 
@@ -212,7 +204,7 @@ def apply_two_mode_mixer(
     u = _check_unitary(matrix)
     for m in (mode_a, mode_b):
         if m not in state.modes:
-            raise ModeMismatchError(f"mode {m!r} not in state modes {state.modes!r}")
+            raise FockError(f"mode {m!r} not in state modes {state.modes!r}")
     if mode_a == mode_b:
         raise ValueError("mixer modes must be distinct")
 
@@ -236,7 +228,7 @@ def apply_two_mode_mixer(
 def apply_phase(state: StateVector, mode: ModeId, phi: float) -> StateVector:
     """Multiply each basis amplitude by exp(i * n * phi) for the photon count n in ``mode``."""
     if mode not in state.modes:
-        raise ModeMismatchError(f"mode {mode!r} not in state modes {state.modes!r}")
+        raise FockError(f"mode {mode!r} not in state modes {state.modes!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
     factor = complex(np.exp(1j * phi))

@@ -37,24 +37,8 @@ WAVE_ORDER = {
 ArrayLike = Union[float, np.ndarray]
 
 
-class SpectralError(Exception):
-    """Base class for dispersion/spectrum errors."""
-
-
-class WavelengthRangeError(SpectralError):
-    """Wavelength outside a dispersion fit's validity window."""
-
-
-class GridError(SpectralError):
-    """Malformed wavelength grid."""
-
-
-class NoSolutionError(SpectralError):
-    """No positive poling period cancels the mismatch."""
-
-
-class PeakError(SpectralError):
-    """A spectrum has no unambiguous single peak."""
+class SpectralError(ValueError):
+    """A dispersion fit, poling solve, grid or peak that cannot be used."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +87,7 @@ def refractive_index(coeffs: SellmeierCoefficients, wavelength_nm: ArrayLike) ->
     lam_nm = np.asarray(wavelength_nm, dtype=float)
     lam_um = lam_nm / 1000.0
     if not np.all((coeffs.lambda_min_um <= lam_um) & (lam_um <= coeffs.lambda_max_um)):
-        raise WavelengthRangeError(
+        raise SpectralError(
             f"wavelength outside validity window "
             f"[{coeffs.lambda_min_um * 1000:g}, {coeffs.lambda_max_um * 1000:g}] nm of {coeffs.name!r}"
         )
@@ -281,7 +265,7 @@ def solve_poling_period(crystal: CrystalSpec, target_wavelengths_nm: Sequence[fl
     material, sign = _material_mismatch(crystal, *target_wavelengths_nm)
     grating = -sign * float(material)
     if not grating > 0:
-        raise NoSolutionError(
+        raise SpectralError(
             f"no positive poling period cancels the {crystal.process} material mismatch "
             f"{material:.6g} rad/m"
         )
@@ -313,19 +297,19 @@ class Spectrum:
         self.wavelength_nm = np.asarray(self.wavelength_nm, dtype=float)
         self.density = np.asarray(self.density, dtype=float)
         if self.wavelength_nm.ndim != 1 or self.wavelength_nm.shape != self.density.shape:
-            raise GridError("grid and density must be 1-D arrays of equal length")
+            raise SpectralError("grid and density must be 1-D arrays of equal length")
         if self.wavelength_nm.size < 3:
-            raise GridError("grid needs at least 3 points")
+            raise SpectralError("grid needs at least 3 points")
         if not (np.all(np.isfinite(self.wavelength_nm)) and np.all(np.isfinite(self.density))):
-            raise GridError("grid and density must be finite")
+            raise SpectralError("grid and density must be finite")
         steps = np.diff(self.wavelength_nm)
         if np.any(steps <= 0):
-            raise GridError("grid must be strictly increasing")
+            raise SpectralError("grid must be strictly increasing")
         mean_step = float(steps.mean())
         if np.max(np.abs(steps - mean_step)) > 1e-4 * mean_step:
-            raise GridError("grid must be uniform")
+            raise SpectralError("grid must be uniform")
         if np.any(self.density < 0):
-            raise GridError("density values must be nonnegative")
+            raise SpectralError("density values must be nonnegative")
 
     def normalized(self) -> "Spectrum":
         peak = float(self.density.max())
@@ -557,7 +541,7 @@ def filtered_spectrum(emission: Spectrum, acceptance: Spectrum) -> Spectrum:
     if emission.wavelength_nm.shape != acceptance.wavelength_nm.shape or np.max(
         np.abs(emission.wavelength_nm - acceptance.wavelength_nm)
     ) > 1e-9:
-        raise GridError("emission and acceptance spectra must share one grid")
+        raise SpectralError("emission and acceptance spectra must share one grid")
     return _peak_normalized(emission.wavelength_nm, emission.density * acceptance.density**2)
 
 
@@ -571,22 +555,22 @@ def fwhm(spectrum: Spectrum) -> float:
     lam = spectrum.wavelength_nm
     peak = float(dens.max())
     if peak <= 0:
-        raise PeakError("density has no positive peak")
+        raise SpectralError("density has no positive peak")
     at_peak = np.flatnonzero(dens >= peak * (1.0 - 1e-12))
     if np.any(np.diff(at_peak) > 1):
-        raise PeakError("density has multiple separated maxima; FWHM is ambiguous")
+        raise SpectralError("density has multiple separated maxima; FWHM is ambiguous")
     left_peak, right_peak = int(at_peak[0]), int(at_peak[-1])
     half = peak / 2.0
 
     below_left = np.flatnonzero(dens[:left_peak] < half)
     if below_left.size == 0:
-        raise PeakError("half height not crossed on the left side of the grid")
+        raise SpectralError("half height not crossed on the left side of the grid")
     j = int(below_left[-1])
     lam_left = lam[j] + (half - dens[j]) * (lam[j + 1] - lam[j]) / (dens[j + 1] - dens[j])
 
     below_right = np.flatnonzero(dens[right_peak + 1 :] < half)
     if below_right.size == 0:
-        raise PeakError("half height not crossed on the right side of the grid")
+        raise SpectralError("half height not crossed on the right side of the grid")
     j = right_peak + 1 + int(below_right[0])
     lam_right = lam[j - 1] + (half - dens[j - 1]) * (lam[j] - lam[j - 1]) / (dens[j] - dens[j - 1])
     return float(lam_right - lam_left)

@@ -5,7 +5,7 @@ import pytest
 
 import noonsim as ns
 from noonsim.elements import Circuit, CircuitElement
-from noonsim.fock import FockState
+from noonsim.fock import FockError, FockState
 
 
 class TestBeamsplitter:
@@ -184,7 +184,7 @@ class TestCircuit:
 
     def test_unknown_mode_propagates(self):
         psi = ns.basis_state(("a", "b"), {"a": 1})
-        with pytest.raises(ns.ModeMismatchError):
+        with pytest.raises(FockError):
             ns.apply_circuit(psi, Circuit((CircuitElement.phase(0.1, "z"),)))
 
 

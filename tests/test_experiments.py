@@ -322,19 +322,21 @@ class TestPlatePhase:
 
 
 class TestFitVisibility:
-    def test_noiseless_recovery_is_exact(self):
+    @pytest.mark.parametrize("rate", [500.0, 5.0])
+    def test_noiseless_recovery_is_exact(self, rate):
         phases = np.linspace(0.0, 2 * np.pi, 64)
-        scan = ns.noon_fringe(2, 0.800, phases, 500.0, 1.0, 1, noiseless=True)
+        scan = ns.noon_fringe(2, 0.800, phases, rate, 1.0, 1, noiseless=True)
         report = ns.fit_visibility(scan, 2)
         assert report.visibility == pytest.approx(0.800, abs=1e-6)
         assert report.frequency == pytest.approx(2.0, abs=1e-6)
-        # The sigma of a measurement at this rate: the Poisson Fisher
-        # information of (C0, V, f, phi0) at the truth, every mu above 1.
-        c0, vis, theta = 250.0, 0.8, 2.0 * phases + FRINGE_PHASE_OFFSET
+        # The sigma of a measurement at this rate: the Fisher information of
+        # (C0, V, f, phi0) at the truth, each bin weighted by 1 / max(mu, 1).
+        # At 500 Hz every mu exceeds 1; at 5 Hz the dark bins hold 0.5 counts.
+        c0, vis, theta = rate / 2.0, 0.8, 2.0 * phases + FRINGE_PHASE_OFFSET
         mu = c0 * (1.0 + vis * np.cos(theta))
         slope = -c0 * vis * np.sin(theta)
         jac = np.array([1.0 + vis * np.cos(theta), c0 * np.cos(theta), slope * phases, slope])
-        fisher_sigma = math.sqrt(np.linalg.inv((jac / mu) @ jac.T)[1, 1])
+        fisher_sigma = math.sqrt(np.linalg.inv((jac / np.maximum(mu, 1.0)) @ jac.T)[1, 1])
         assert report.visibility_sigma == pytest.approx(fisher_sigma, rel=1e-9)
 
     @pytest.mark.parametrize("noiseless", [False, True])
@@ -472,6 +474,11 @@ class TestSqlVerdict:
     def test_threshold_is_strict(self):
         verdict = ns.sql_verdict(0.7071, 0.0, 2)
         assert not verdict.beats_sql
+
+    def test_visibility_at_the_threshold_does_not_beat_it(self):
+        verdict = ns.sql_verdict(1 / math.sqrt(2), 0.01, 2)
+        assert not verdict.beats_sql
+        assert verdict.margin_sigma == 0.0
 
     def test_four_photon_threshold(self):
         verdict = ns.sql_verdict(0.97, 0.01, 4)
@@ -646,6 +653,17 @@ class TestScanResult:
         with pytest.raises(ValueError) as info:
             call()
         assert info.type is ValueError and str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("count", [1.5, -0.5, math.nan, math.inf, 1e30, 2**63])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_count_not_a_whole_number_below_2_63_rejected(self, count, as_array):
+        counts = np.array([count]) if as_array else [count]
+        with pytest.raises(ValueError, match=r"^counts must be nonnegative whole numbers below 2\^63$"):
+            ns.ScanResult([0.0], [1.0], counts)
+
+    def test_whole_float_count_stored_as_integer(self):
+        scan = ns.ScanResult([0.0], [1.0], [300.0])
+        assert scan.counts.dtype == np.int64 and scan.counts.tolist() == [300]
 
     def test_invariants(self):
         with pytest.raises(ValueError):
