@@ -158,7 +158,7 @@ def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",), default_section="")
     parser.optionxform = str
     try:
         read = parser.read(path)

@@ -339,7 +339,7 @@ def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np
     photons in one port and 1 in the other.  The result is
     (N / 2^(N-1)) * (1 + cos(N phi + pi)) / 2 per the closed form.
     """
-    state0 = fock.noon_state(n_photons, "arm-a", "arm-b", n_max=max(n_photons, fock.DEFAULT_MAX_PHOTONS))
+    state0 = fock.noon_state(n_photons, "arm-a", "arm-b")
     pattern = fock.FockState.from_counts({"arm-a": n_photons - 1, "arm-b": 1})
     probs = np.empty(len(phases_rad), dtype=float)
     for i, phi in enumerate(np.asarray(phases_rad, dtype=float)):

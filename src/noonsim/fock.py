@@ -1,4 +1,4 @@
-"""Truncated Fock-space states over labeled optical modes.
+"""Fock-space states over labeled optical modes.
 
 States are sparse maps from occupation-number basis states to complex
 amplitudes.  Modes are identified by opaque string labels; two photons can
@@ -19,11 +19,11 @@ import numpy as np
 
 ModeId = str
 
-#: Default cap on the total photon number of constructed states.
-DEFAULT_MAX_PHOTONS = 6
+#: Cap on the number of basis states ``enumerate_basis`` may return.
+_MAX_BASIS_STATES = 200_000
 
-#: Default cap on the number of basis states ``enumerate_basis`` may return.
-DEFAULT_MAX_BASIS_STATES = 200_000
+#: Cap on the photons in the two modes a mixer acts on: its weights use (n_a + n_b)!, and 171! overflows a float.
+_MAX_MIXER_PHOTONS = 170
 
 #: Amplitudes with modulus at or below this are treated as exact zeros.
 AMPLITUDE_ATOL = 1e-12
@@ -62,9 +62,6 @@ class FockState:
             if m == mode:
                 return n
         return 0
-
-    def total(self) -> int:
-        return sum(n for _, n in self.occupations)
 
     def modes(self) -> tuple[ModeId, ...]:
         return tuple(m for m, _ in self.occupations)
@@ -113,11 +110,7 @@ class StateVector:
         return StateVector(self.modes, {f: a / n for f, a in self.amplitudes.items()})
 
 
-def enumerate_basis(
-    n_photons: int,
-    modes: Iterable[ModeId],
-    max_states: int = DEFAULT_MAX_BASIS_STATES,
-) -> list[FockState]:
+def enumerate_basis(n_photons: int, modes: Iterable[ModeId]) -> list[FockState]:
     """All occupation patterns of ``n_photons`` over ``modes``.
 
     The result is ordered lexicographically on the occupation tuple taken in
@@ -129,8 +122,8 @@ def enumerate_basis(
     if not modes:
         raise ValueError("mode list must be nonempty")
     size = math.comb(n_photons + len(modes) - 1, n_photons)
-    if size > max_states:
-        raise FockError(f"basis of {size} states exceeds the limit of {max_states}")
+    if size > _MAX_BASIS_STATES:
+        raise FockError(f"basis of {size} states exceeds the limit of {_MAX_BASIS_STATES}")
 
     # Each multiset of modes is one pattern; sort its occupation tuples into the documented order.
     occupations = sorted(
@@ -141,23 +134,13 @@ def enumerate_basis(
 
 def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateVector:
     """A single occupation-number state as a normalized vector."""
-    fock = FockState.from_counts(counts)
-    if fock.total() > DEFAULT_MAX_PHOTONS:
-        raise FockError(f"{fock.total()} photons exceed the truncation of {DEFAULT_MAX_PHOTONS}")
-    return StateVector(tuple(modes), {fock: 1.0 + 0j})
+    return StateVector(tuple(modes), {FockState.from_counts(counts): 1.0 + 0j})
 
 
-def noon_state(
-    n_photons: int,
-    mode_a: ModeId,
-    mode_b: ModeId,
-    n_max: int = DEFAULT_MAX_PHOTONS,
-) -> StateVector:
+def noon_state(n_photons: int, mode_a: ModeId, mode_b: ModeId) -> StateVector:
     """The path-entangled state (|N,0> + |0,N>)/sqrt(2) on two modes."""
     if n_photons < 1:
         raise ValueError("photon number must be at least 1")
-    if n_photons > n_max:
-        raise FockError(f"{n_photons} photons exceed the truncation of {n_max}")
     amp = 1.0 / math.sqrt(2.0)
     return StateVector(
         (mode_a, mode_b),
@@ -212,6 +195,8 @@ def apply_two_mode_mixer(
     for fock, amp in state.amplitudes.items():
         n_a = fock.count(mode_a)
         n_b = fock.count(mode_b)
+        if n_a + n_b > _MAX_MIXER_PHOTONS:
+            raise FockError(f"{n_a + n_b} photons in the mixed modes exceed the limit of {_MAX_MIXER_PHOTONS}")
         prefactor = amp / math.sqrt(math.factorial(n_a) * math.factorial(n_b))
         for j in range(n_a + 1):
             wa = math.comb(n_a, j) * u[0, 0] ** j * u[1, 0] ** (n_a - j)

@@ -181,6 +181,8 @@ class TestConfig:
         ("config", "message"),
         [
             ("[nosuch]\nkey = 1\n", "unknown config section [nosuch]"),
+            ("[DEFAULT]\nseed = 5\n", "unknown config section [DEFAULT]"),
+            ("[DEFAULT]\nrate_hz = 1\n[hom]\ngamma = 0.9\n", "unknown config section [DEFAULT]"),
             (
                 "[budget]\ncollection = 0.5\nconversion_and_overlap = 0.064\ndecompose_conversion = true\n",
                 "bad value for [budget] decompose_conversion: ",
@@ -191,7 +193,13 @@ class TestConfig:
                 "bad value for [budget] decompose_conversion: ",
             ),
         ],
-        ids=["unknown-section", "decompose-with-listed-stages", "decompose-with-the-default-chain-listed"],
+        ids=[
+            "unknown-section",
+            "default-section",
+            "default-section-beside-hom",
+            "decompose-with-listed-stages",
+            "decompose-with-the-default-chain-listed",
+        ],
     )
     def test_config_error_is_one_line_and_writes_nothing(self, tmp_path, capsys, config, message):
         path = tmp_path / "run.cfg"

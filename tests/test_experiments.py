@@ -230,6 +230,13 @@ class TestNoonFringe:
             closed = (1 + np.cos(n * phases + FRINGE_PHASE_OFFSET)) / 2
             assert np.max(np.abs(pipeline / scale - closed)) < 1e-10
 
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_closed_form_matches_fock_pipeline_above_six_photons(self, n):
+        phases = np.linspace(0.0, 2 * np.pi, 37)
+        pipeline = ns.noon_fringe_probabilities(n, phases)
+        closed = (1 + np.cos(n * phases + FRINGE_PHASE_OFFSET)) / 2
+        assert np.max(np.abs(pipeline / (n / 2 ** (n - 1)) - closed)) < 1e-10
+
     def test_expected_counts_follow_closed_form(self):
         phases = np.linspace(0.0, 2 * np.pi, 25)
         scan = ns.noon_fringe(2, 0.8, phases, 1000.0, 1.0, 8, noiseless=True)
@@ -430,6 +437,21 @@ class TestFitVisibility:
         report = ns.fit_visibility(ns.noon_fringe(1, 0.0, phases, 600.0, 1.0, seed), 1)
         (c0, vis, freq, phi0), _, _ = optima[-1]
         assert freq < 0.0 < report.frequency
+        assert abs(report.phase_offset) <= math.pi
+        curve = report.amplitude * (1.0 + report.visibility * np.cos(report.frequency * phases + report.phase_offset))
+        np.testing.assert_allclose(curve, c0 * (1.0 + vis * np.cos(freq * phases + phi0)), rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", [28, 87])
+    def test_negative_visibility_is_reported_as_its_mirror(self, monkeypatch, seed):
+        # A weak, sparse fringe can converge to V < 0.  The report takes
+        # V -> -V and phi0 -> phi0 + pi: the same curve.
+        optima = []
+        score = experiments._score_fringe
+        monkeypatch.setattr(experiments, "_score_fringe", lambda *args: optima.append(score(*args)) or optima[-1])
+        phases = np.linspace(0.0, 2 * np.pi, 8)
+        report = ns.fit_visibility(ns.noon_fringe(2, 0.1, phases, 5.0, 1.0, seed), 2)
+        (c0, vis, freq, phi0), _, _ = optima[-1]
+        assert vis < 0.0 < report.visibility
         assert abs(report.phase_offset) <= math.pi
         curve = report.amplitude * (1.0 + report.visibility * np.cos(report.frequency * phases + report.phase_offset))
         np.testing.assert_allclose(curve, c0 * (1.0 + vis * np.cos(freq * phases + phi0)), rtol=1e-9)

@@ -72,8 +72,9 @@ class TestEnumerateBasis:
         assert [tuple(f.count(m) for m in modes) for f in basis] == oracle
 
     def test_capacity_error(self):
-        with pytest.raises(FockError):
-            ns.enumerate_basis(3, ["a", "b", "c"], max_states=5)
+        # C(31, 20) = 84 672 315 states: refused before any is enumerated.
+        with pytest.raises(FockError, match="^basis of 84672315 states exceeds the limit of 200000$"):
+            ns.enumerate_basis(20, [f"m{i}" for i in range(12)])
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -99,10 +100,20 @@ class TestNoonState:
         total = sum(abs(a) ** 2 for a in state.amplitudes.values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_truncation(self):
-        with pytest.raises(FockError):
-            ns.noon_state(7, "a", "b")
-        assert ns.noon_state(7, "a", "b", n_max=8).norm() == pytest.approx(1.0)
+    def test_no_photon_cap(self):
+        assert ns.noon_state(7, "a", "b").norm() == pytest.approx(1.0)
+        assert ns.basis_state(("a",), {"a": 7}).norm() == 1.0
+
+    def test_mixer_photon_limit(self):
+        mixed = ns.apply_two_mode_mixer(ns.noon_state(170, "a", "b"), ns.beamsplitter(np.pi / 4), "a", "b")
+        assert mixed.norm() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(FockError, match="^171 photons in the mixed modes exceed the limit of 170$"):
+            ns.apply_two_mode_mixer(ns.noon_state(171, "a", "b"), ns.beamsplitter(np.pi / 4), "a", "b")
+
+    def test_mixer_limit_counts_one_mode_alone(self):
+        state = ns.StateVector(("a", "b"), {FockState.from_counts({"a": 171}): 1.0})
+        with pytest.raises(FockError, match="^171 photons in the mixed modes exceed the limit of 170$"):
+            ns.apply_two_mode_mixer(state, ns.beamsplitter(np.pi / 4), "a", "b")
 
     def test_requires_at_least_one_photon(self):
         with pytest.raises(ValueError):
@@ -231,7 +242,11 @@ class TestStateVectorValidation:
         ("call", "error", "message"),
         [
             (lambda: ns.StateVector(("a",), {}).normalized(), ValueError, "cannot normalize the zero vector"),
-            (lambda: ns.basis_state(("a",), {"a": 7}), FockError, "7 photons exceed the truncation of 6"),
+            (
+                lambda: ns.apply_two_mode_mixer(ns.basis_state(("a", "b"), {"a": 100, "b": 71}), np.eye(2), "a", "b"),
+                FockError,
+                "171 photons in the mixed modes exceed the limit of 170",
+            ),
             (
                 lambda: ns.apply_two_mode_mixer(ns.basis_state(("a", "b"), {"a": 1}), np.eye(3), "a", "b"),
                 ValueError,
@@ -243,7 +258,7 @@ class TestStateVectorValidation:
                 "mixer modes must be distinct",
             ),
         ],
-        ids=["normalize-zero", "basis-over-capacity", "mixer-3x3", "mixer-same-mode"],
+        ids=["normalize-zero", "mixer-over-limit", "mixer-3x3", "mixer-same-mode"],
     )
     def test_invalid_argument_is_named(self, call, error, message):
         with pytest.raises(error) as info:
