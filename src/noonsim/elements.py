@@ -11,6 +11,7 @@ threshold detection via per-mode efficiencies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -29,7 +30,8 @@ def beamsplitter(theta: float) -> TwoModeUnitary:
     The convention is the real involutive form [[cos, sin], [sin, -cos]],
     so two identical splitters in a row undo each other.
     """
-    if not math.isfinite(theta):
+    # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
+    if not abs(theta) <= sys.float_info.max:
         raise ValueError("splitter angle must be finite")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
@@ -41,7 +43,7 @@ def frequency_converter(xi_t: float) -> TwoModeUnitary:
     A single photon in the input mode converts with probability
     sin^2(xi_t); xi_t = pi/2 converts completely.
     """
-    if not math.isfinite(xi_t):
+    if not abs(xi_t) <= sys.float_info.max:
         raise ValueError("conversion angle must be finite")
     c, s = math.cos(xi_t), math.sin(xi_t)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -53,16 +55,16 @@ def internal_conversion_efficiency(p_circ_w: float, a: float) -> float:
     ``a`` is the calibration constant in W^-1/2; the efficiency rises
     monotonically up to full conversion at P = (pi / 2a)^2.
     """
-    if not 0.0 <= p_circ_w < math.inf:
+    if not 0.0 <= p_circ_w <= sys.float_info.max:
         raise ValueError(f"circulating power must be nonnegative and finite, got {p_circ_w}")
-    if not math.isfinite(a):
+    if not abs(a) <= sys.float_info.max:
         raise ValueError(f"conversion constant must be finite, got {a}")
     return math.sin(a * math.sqrt(p_circ_w)) ** 2
 
 
 def conversion_constant(p_ref_w: float, efficiency: float) -> float:
     """Calibrate the sin^2(a*sqrt(P)) model from one measured point."""
-    if not 0.0 < p_ref_w < math.inf:
+    if not 0.0 < p_ref_w <= sys.float_info.max:
         raise ValueError(f"reference power must be positive and finite, got {p_ref_w}")
     if not 0 <= efficiency <= 1:
         raise ValueError("efficiency must lie in [0, 1]")
@@ -86,7 +88,7 @@ class CircuitElement:
             raise ValueError(f"{self.kind} element needs {expected_arity} mode(s), got {self.modes!r}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("element modes must be distinct")
-        if self.param is None or not math.isfinite(self.param):
+        if self.param is None or not abs(self.param) <= sys.float_info.max:
             raise ValueError(f"{self.kind} element needs a finite parameter")
 
     @classmethod

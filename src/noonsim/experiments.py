@@ -18,14 +18,15 @@ weights of sampled counts, so their sigmas are those of a measurement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fock
 from .elements import CircuitElement, Circuit, apply_circuit
-from .spectral import Spectrum, _read_csv, _write_csv, overlap_kernel
+from .spectral import Spectrum, _read_csv, _write_csv, hom_profile, overlap_kernel
 
 
 class FitError(ValueError):
@@ -227,9 +228,10 @@ def _finish_scan(
     param: np.ndarray, rate_hz: float, t_bin_s: float, shape: np.ndarray, seed: int, noiseless: bool
 ) -> ScanResult:
     """Expected counts rate * t_bin * shape, clipped at 0, then sampled (or rounded if ``noiseless``)."""
-    if not (0.0 < rate_hz < math.inf and 0.0 < t_bin_s < math.inf):
+    # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
+    if not (0.0 < rate_hz <= sys.float_info.max and 0.0 < t_bin_s <= sys.float_info.max):
         raise ValueError("rate and integration time must be positive and finite")
-    expected = np.clip(rate_hz * t_bin_s * shape, 0.0, None)
+    expected = np.clip(float(rate_hz) * t_bin_s * shape, 0.0, None)
     if noiseless:
         counts = np.rint(_checked_means(expected)).astype(np.int64)
     else:
@@ -240,23 +242,6 @@ def _finish_scan(
 # ---------------------------------------------------------------------------
 # Scan drivers
 # ---------------------------------------------------------------------------
-
-
-def _delay_scan(
-    spectrum: Spectrum,
-    overlap: float,
-    delays_mm: Sequence[float],
-    rate_hz: float,
-    t_bin_s: float,
-    seed: int,
-    noiseless: bool,
-    shape: Callable[[np.ndarray], np.ndarray],
-) -> ScanResult:
-    """Expected counts rate * t_bin * shape(overlap * g(delay)), then sampled."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    delays = np.asarray(delays_mm, dtype=float)
-    return _finish_scan(delays, rate_hz, t_bin_s, shape(overlap * overlap_kernel(spectrum, delays)), seed, noiseless)
 
 
 def hom_scan(
@@ -270,11 +255,12 @@ def hom_scan(
 ) -> ScanResult:
     """Two-detector coincidence scan across a dip.
 
-    Expected coincidences per bin are rate * t_bin * (1 - overlap * g(delay))
-    with g the spectrum's overlap kernel, so the far-from-dip baseline is
+    Expected coincidences per bin are rate * t_bin * 2 * ``hom_profile``, or
+    rate * t_bin * (1 - overlap * g(delay)): the far-from-dip baseline is
     rate * t_bin and the dip visibility equals ``overlap``.
     """
-    return _delay_scan(spectrum, overlap, delays_mm, rate_hz, t_bin_s, seed, noiseless, lambda x: 1.0 - x)
+    delays = np.asarray(delays_mm, dtype=float)
+    return _finish_scan(delays, rate_hz, t_bin_s, 2.0 * hom_profile(spectrum, delays, overlap), seed, noiseless)
 
 
 def bunching_scan(
@@ -293,9 +279,11 @@ def bunching_scan(
     bunched pairs double the splitter's pair flux at zero delay, so the
     peak-to-baseline ratio is 1 + overlap.
     """
-    return _delay_scan(
-        spectrum, overlap, delays_mm, rate_hz, t_bin_s, seed, noiseless, lambda x: (1.0 + x) / 8.0
-    )
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError("overlap must lie in [0, 1]")
+    delays = np.asarray(delays_mm, dtype=float)
+    shape = (1.0 + overlap * overlap_kernel(spectrum, delays)) / 8.0
+    return _finish_scan(delays, rate_hz, t_bin_s, shape, seed, noiseless)
 
 
 #: Phase offset at which the reference detection pattern sits in its fringe;
@@ -318,8 +306,8 @@ def noon_fringe(
     phi0 = ``FRINGE_PHASE_OFFSET`` = pi places the zero of the pattern at
     phi = 0, matching the Fock-space pipeline's reference detection pattern.
     """
-    if n_photons < 1:
-        raise ValueError("photon number must be at least 1")
+    if not 1 <= n_photons <= sys.float_info.max:
+        raise ValueError("photon number must be at least 1 and finite")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     phases = np.asarray(phases_rad, dtype=float)
@@ -502,8 +490,8 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     weights.  Data with no fringe or less than one count in all, or a fit
     that does not converge, raises ``FitError``.
     """
-    if n_expected < 1:
-        raise ValueError("expected fringe order must be at least 1")
+    if not 1 <= n_expected <= sys.float_info.max:
+        raise ValueError("expected fringe order must be at least 1 and finite")
     phi = scan.param
     data = scan.data()
     if len(phi) < 8:
@@ -586,11 +574,11 @@ class SqlVerdict:
 
 def sql_verdict(visibility: float, visibility_sigma: float, n_photons: int) -> SqlVerdict:
     """Strict comparison against the 1/sqrt(N) visibility threshold."""
-    if n_photons < 2:
-        raise ValueError("the SQL comparison needs at least 2 photons")
-    if not math.isfinite(visibility):
+    if not 2 <= n_photons <= sys.float_info.max:
+        raise ValueError("the SQL comparison needs a finite photon number of at least 2")
+    if not abs(visibility) <= sys.float_info.max:
         raise ValueError(f"visibility must be finite, got {visibility}")
-    if not 0.0 <= visibility_sigma < math.inf:
+    if not 0.0 <= visibility_sigma <= sys.float_info.max:
         raise ValueError(f"visibility sigma must be nonnegative and finite, got {visibility_sigma}")
     threshold = 1.0 / math.sqrt(n_photons)
     beats = visibility > threshold
@@ -650,7 +638,7 @@ class BudgetReport:
 
 def efficiency_budget(chain: EfficiencyChain, quoted_overall: float | None = None) -> BudgetReport:
     """Multiply out a detection chain; the pair product squares the arm."""
-    if quoted_overall is not None and not 0.0 <= quoted_overall < math.inf:
+    if quoted_overall is not None and not 0.0 <= quoted_overall <= sys.float_info.max:
         raise ValueError(f"quoted overall efficiency must be nonnegative and finite, got {quoted_overall}")
     single = math.prod(eta for _, eta in chain.stages)
     return BudgetReport(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -214,7 +215,8 @@ def apply_phase(state: StateVector, mode: ModeId, phi: float) -> StateVector:
     """Multiply each basis amplitude by exp(i * n * phi) for the photon count n in ``mode``."""
     if mode not in state.modes:
         raise FockError(f"mode {mode!r} not in state modes {state.modes!r}")
-    if not math.isfinite(phi):
+    # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
+    if not abs(phi) <= sys.float_info.max:
         raise ValueError(f"phase must be finite, got {phi}")
     factor = complex(np.exp(1j * phi))
     return StateVector(

@@ -14,6 +14,7 @@ import configparser
 import io
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -104,8 +105,7 @@ def refractive_index(coeffs: SellmeierCoefficients, wavelength_nm: ArrayLike) ->
         raise SpectralError(
             f"n^2 of {coeffs.name!r} is not positive and finite at {lam_nm[unphysical][0]:g} nm"
         )
-    n = np.sqrt(n2)
-    return float(n) if np.isscalar(wavelength_nm) else n
+    return np.sqrt(n2)
 
 
 def parse_sellmeier(text: str) -> dict[str, SellmeierCoefficients]:
@@ -181,9 +181,10 @@ class CrystalSpec:
     def __post_init__(self):
         if self.process not in WAVE_ORDER:
             raise ValueError(f"process must be one of {sorted(WAVE_ORDER)}, got {self.process!r}")
-        if not (self.length_mm > 0 and math.isfinite(self.length_mm)):
+        # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
+        if not 0 < self.length_mm <= sys.float_info.max:
             raise ValueError("crystal length must be positive and finite")
-        if not (self.poling_period_um > 0 and math.isfinite(self.poling_period_um)):
+        if not 0 < self.poling_period_um <= sys.float_info.max:
             raise ValueError("poling period must be positive and finite")
         roles = WAVE_ORDER[self.process]
         if set(self.axes) != set(roles):
@@ -251,8 +252,7 @@ def phase_mismatch(
     """
     material, sign = _material_mismatch(crystal, lambda_a_nm, lambda_b_nm, lambda_c_nm)
     grating = 2.0 * np.pi / (crystal.poling_period_um * 1e-6)
-    dk = material + sign * grating
-    return float(dk) if np.isscalar(lambda_a_nm) and np.isscalar(lambda_b_nm) else dk
+    return material + sign * grating
 
 
 def solve_poling_period(crystal: CrystalSpec, target_wavelengths_nm: Sequence[float]) -> float:
@@ -260,10 +260,12 @@ def solve_poling_period(crystal: CrystalSpec, target_wavelengths_nm: Sequence[fl
 
     The mismatch is material + sign * 2pi/period, so the period is
     2pi / (-sign * material) in closed form; it exists only when that is
-    positive.
+    positive.  The target is three wavelengths in the ``WAVE_ORDER`` roles.
     """
+    if len(target_wavelengths_nm) != 3 or any(np.ndim(wave) for wave in target_wavelengths_nm):
+        raise SpectralError("a poling target must be three wavelengths")
     material, sign = _material_mismatch(crystal, *target_wavelengths_nm)
-    grating = -sign * float(material)
+    grating = -sign * material
     if not grating > 0:
         raise SpectralError(
             f"no positive poling period cancels the {crystal.process} material mismatch "
@@ -649,15 +651,15 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     return rows[back[1:]] / rows[0]
 
 
-def hom_profile(spectrum: Spectrum, delays_mm: ArrayLike, visibility: float) -> np.ndarray:
-    """Coincidence probability 0.5 * (1 - V * g(delay)) along a delay scan.
+def hom_profile(spectrum: Spectrum, delays_mm: ArrayLike, overlap: float) -> np.ndarray:
+    """Coincidence probability 0.5 * (1 - overlap * g(delay)) along a delay scan.
 
     ``g`` is :func:`overlap_kernel`; at zero delay the profile reaches
-    (1 - V)/2 and it tends to 1/2 far outside the coherence envelope.
+    (1 - overlap)/2 and it tends to 1/2 far outside the coherence envelope.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    return 0.5 * (1.0 - visibility * overlap_kernel(spectrum, delays_mm))
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError("overlap must lie in [0, 1]")
+    return 0.5 * (1.0 - overlap * overlap_kernel(spectrum, delays_mm))
 
 
 def coherence_length(center_nm: float, bandwidth_nm: float) -> float:
@@ -666,9 +668,9 @@ def coherence_length(center_nm: float, bandwidth_nm: float) -> float:
     Uses the half-width-at-half-maximum pairing L_c = (2 ln2 / pi)
     * lam^2 / dlam between a Gaussian spectral FWHM and its transform.
     """
-    if not 0.0 < center_nm < math.inf:
+    if not 0.0 < center_nm <= sys.float_info.max:
         raise ValueError(f"center wavelength must be positive and finite, got {center_nm}")
-    if not 0.0 < bandwidth_nm < math.inf:
+    if not 0.0 < bandwidth_nm <= sys.float_info.max:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_nm}")
     length_mm = (2.0 * math.log(2.0) / math.pi) * center_nm * center_nm / bandwidth_nm * 1e-6
     if not math.isfinite(length_mm):

@@ -160,6 +160,18 @@ class TestHomScan:
                 with pytest.raises(ValueError):
                     ns.noon_fringe(2, 0.5, [0.0], rate, t_bin, 0, noiseless)
 
+    @pytest.mark.parametrize("gamma", [0.979, 1.0])
+    def test_noiseless_scans_equal_the_profile_and_the_kernel_bitwise(self, emission, gamma):
+        # hom_scan is twice hom_profile, and bunching_scan (1 + gamma g) / 8, scaled by rate * t_bin.
+        delays = np.linspace(-6.0, 6.0, 121)
+        rate, t_bin = 600.0, 1.0
+        dip = ns.hom_scan(emission, gamma, delays, rate, t_bin, 7, noiseless=True)
+        profile = ns.hom_profile(emission, delays, gamma)
+        assert np.array_equal(dip.expected, np.clip(rate * t_bin * (2.0 * profile), 0.0, None))
+        peak = ns.bunching_scan(gamma, delays, rate, t_bin, 7, spectrum=emission, noiseless=True)
+        shape = (1.0 + gamma * ns.overlap_kernel(emission, delays)) / 8.0
+        assert np.array_equal(peak.expected, np.clip(rate * t_bin * shape, 0.0, None))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_expected_counts_beyond_int64_rejected(self):
         spec = sinc2_spectrum(points=64)

@@ -3,7 +3,8 @@
 Each float argument is drawn from nan, +-inf, 0, -0.0, 1e-300, 1e300, -1 and a valid value; an array argument
 gets the drawn value in one cell.  A call returns a finite result or raises ``ValueError``, which every library
 error (``SpectralError``, ``FitError``, ``FockError``) subclasses, and warns nothing.  ``FitReport``, ``SqlVerdict`` and ``BudgetReport`` record what
-the functions computed and are not drawn.
+the functions computed and are not drawn.  The functions that check their scalar arguments are also called with an
+integer beyond float range in each of them, one at a time, with the same requirement.
 """
 
 import dataclasses
@@ -127,6 +128,36 @@ CASES = {
 }
 
 
+#: An integer that no float holds: ``float()`` and ``math`` functions raise ``OverflowError`` on it.
+HUGE = 10**400
+
+#: name -> (call taking scalar arguments, a valid value of each), for every function that bounds them as finite.
+INTEGER_CASES = {
+    "noon_fringe": (
+        lambda n, visibility, rate, t_bin, seed: ns.noon_fringe(n, visibility, PHASES, rate, t_bin, seed),
+        (2, 0.85, 600.0, 1.0, 1),
+    ),
+    "hom_scan": (lambda overlap, *args: ns.hom_scan(EMISSION, overlap, DELAYS, *args), (0.9, 600.0, 1.0, 1)),
+    "bunching_scan": (
+        lambda overlap, *args: ns.bunching_scan(overlap, DELAYS, *args, spectrum=EMISSION), (1.0, 2400.0, 1.0, 1)
+    ),
+    "fit_visibility": (lambda n: ns.fit_visibility(FRINGE, n), (2,)),
+    "sql_verdict": (ns.sql_verdict, (0.85, 0.01, 2)),
+    "efficiency_budget": (lambda quoted: ns.efficiency_budget(CHAIN, quoted).report_lines(), (2e-6,)),
+    "apply_phase": (lambda phi: ns.apply_phase(STATE, "a", phi), (0.3,)),
+    "CircuitElement": (lambda phi: ns.CircuitElement("phase", ("a",), phi), (0.3,)),
+    "beamsplitter": (ns.beamsplitter, (math.pi / 4,)),
+    "frequency_converter": (ns.frequency_converter, (0.3,)),
+    "conversion_constant": (ns.conversion_constant, (0.2, 0.5)),
+    "internal_conversion_efficiency": (ns.internal_conversion_efficiency, (0.2, 1.0)),
+    "CrystalSpec": (
+        lambda length, period: ns.CrystalSpec(length, period, "spdc", "type-II", SPDC_AXES, DISPERSION),
+        (20.0, 9.0),
+    ),
+    "coherence_length": (ns.coherence_length, (1547.0, 1.28)),
+}
+
+
 def finite(value):
     """Whether every float in ``value``, through dataclass fields, mappings, sequences and arrays, is finite."""
     if dataclasses.is_dataclass(value):
@@ -153,6 +184,21 @@ def test_float_edges_give_a_finite_result_or_a_library_error(name, data):
         except ERRORS:
             return
     assert finite(result), (name, args, result)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CASES))
+def test_integer_beyond_float_range_gives_a_finite_result_or_a_library_error(name):
+    # Such an integer compares below math.inf, so a check written against inf let it through to an OverflowError.
+    call, valid = INTEGER_CASES[name]
+    for i in range(len(valid)):
+        args = [*valid[:i], HUGE, *valid[i + 1 :]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call(*args)
+            except ERRORS:
+                continue
+        assert finite(result), (name, i, result)
 
 
 def test_library_errors_are_value_errors_in_one_class_per_module():

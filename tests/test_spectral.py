@@ -120,6 +120,11 @@ class TestPhaseMismatch:
         with pytest.raises(ValueError):
             ns.phase_mismatch(spdc_crystal, PUMP_SPDC_NM, SIGNAL_NM, 1500.0)
 
+    def test_array_after_two_scalars_gives_an_array(self, spdc_crystal):
+        # The result was cast to float whenever the first two wavelengths were scalars: a TypeError here.
+        dk = ns.phase_mismatch(spdc_crystal, PUMP_SPDC_NM, SIGNAL_NM, np.array([SIGNAL_NM, SIGNAL_NM]))
+        assert dk.shape == (2,) and np.all(np.abs(dk) < 1e-6)
+
     @pytest.mark.parametrize(
         "waves", [(0.0, SIGNAL_NM, SIGNAL_NM), (PUMP_SPDC_NM, -0.0, SIGNAL_NM), (PUMP_SPDC_NM, SIGNAL_NM, math.inf)]
     )
@@ -162,6 +167,16 @@ class TestSolvePolingPeriod:
         nudged = replace(spdc_crystal, poling_period_um=spdc_crystal.poling_period_um * 1.01)
         dk = ns.phase_mismatch(nudged, PUMP_SPDC_NM, SIGNAL_NM, SIGNAL_NM)
         assert abs(dk) > 1.0
+
+    @pytest.mark.parametrize(
+        "target",
+        [(PUMP_SPDC_NM, SIGNAL_NM, np.array([SIGNAL_NM])), (PUMP_SPDC_NM, SIGNAL_NM), np.full((3, 1), SIGNAL_NM)],
+        ids=["array-wave", "two-waves", "column"],
+    )
+    def test_target_not_three_numbers_rejected(self, spdc_crystal, target):
+        # An array wavelength in the target used to end in a TypeError from float().
+        with pytest.raises(SpectralError, match="^a poling target must be three wavelengths$"):
+            ns.solve_poling_period(spdc_crystal, target)
 
     def test_no_solution_raises(self, dispersion):
         # An all-z "downconversion" toward 525 nm has a positive material
