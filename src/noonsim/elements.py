@@ -11,13 +11,13 @@ threshold detection via per-mode efficiencies.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
 from .fock import ModeId, StateVector, apply_phase, apply_two_mode_mixer
+from .spectral import _floats
 
 TwoModeUnitary = np.ndarray
 
@@ -30,8 +30,7 @@ def beamsplitter(theta: float) -> TwoModeUnitary:
     The convention is the real involutive form [[cos, sin], [sin, -cos]],
     so two identical splitters in a row undo each other.
     """
-    # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
-    if not abs(theta) <= sys.float_info.max:
+    if not abs(_floats(theta)) < math.inf:
         raise ValueError("splitter angle must be finite")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
@@ -43,7 +42,7 @@ def frequency_converter(xi_t: float) -> TwoModeUnitary:
     A single photon in the input mode converts with probability
     sin^2(xi_t); xi_t = pi/2 converts completely.
     """
-    if not abs(xi_t) <= sys.float_info.max:
+    if not abs(_floats(xi_t)) < math.inf:
         raise ValueError("conversion angle must be finite")
     c, s = math.cos(xi_t), math.sin(xi_t)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -55,16 +54,16 @@ def internal_conversion_efficiency(p_circ_w: float, a: float) -> float:
     ``a`` is the calibration constant in W^-1/2; the efficiency rises
     monotonically up to full conversion at P = (pi / 2a)^2.
     """
-    if not 0.0 <= p_circ_w <= sys.float_info.max:
+    if not 0.0 <= _floats(p_circ_w) < math.inf:
         raise ValueError(f"circulating power must be nonnegative and finite, got {p_circ_w}")
-    if not abs(a) <= sys.float_info.max:
+    if not abs(_floats(a)) < math.inf:
         raise ValueError(f"conversion constant must be finite, got {a}")
     return math.sin(a * math.sqrt(p_circ_w)) ** 2
 
 
 def conversion_constant(p_ref_w: float, efficiency: float) -> float:
     """Calibrate the sin^2(a*sqrt(P)) model from one measured point."""
-    if not 0.0 < p_ref_w <= sys.float_info.max:
+    if not 0.0 < _floats(p_ref_w) < math.inf:
         raise ValueError(f"reference power must be positive and finite, got {p_ref_w}")
     if not 0 <= efficiency <= 1:
         raise ValueError("efficiency must lie in [0, 1]")
@@ -88,7 +87,7 @@ class CircuitElement:
             raise ValueError(f"{self.kind} element needs {expected_arity} mode(s), got {self.modes!r}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("element modes must be distinct")
-        if self.param is None or not abs(self.param) <= sys.float_info.max:
+        if not abs(_floats(self.param)) < math.inf:
             raise ValueError(f"{self.kind} element needs a finite parameter")
 
     @classmethod
@@ -145,7 +144,7 @@ class DetectorPattern:
     ) -> "DetectorPattern":
         if not isinstance(efficiency, Mapping):
             efficiency = dict.fromkeys(requirements, efficiency)
-        return cls(tuple((m, click, float(efficiency.get(m, 1.0))) for m, click in requirements.items()))
+        return cls(tuple((m, click, _floats(efficiency.get(m, 1.0)).item()) for m, click in requirements.items()))
 
     @classmethod
     def coincidence(

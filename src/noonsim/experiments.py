@@ -18,7 +18,6 @@ weights of sampled counts, so their sigmas are those of a measurement.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import fock
 from .elements import CircuitElement, Circuit, apply_circuit
-from .spectral import Spectrum, _read_csv, _write_csv, hom_profile, overlap_kernel
+from .spectral import Spectrum, _floats, _read_csv, _write_csv, hom_profile, overlap_kernel
 
 
 class FitError(ValueError):
@@ -128,7 +127,7 @@ def _ptrs_round(means: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _checked_means(means: Sequence[float]) -> np.ndarray:
     """Means as a float array, rejecting any that no int64 count can follow."""
-    means = np.asarray(means, dtype=float)
+    means = _floats(means)
     if np.any(means < 0):
         raise ValueError("Poisson means must be nonnegative")
     if not np.all(np.isfinite(means)):
@@ -189,9 +188,11 @@ class ScanResult:
     noiseless: bool = False
 
     def __post_init__(self):
-        self.param = np.asarray(self.param, dtype=float)
-        self.expected = np.asarray(self.expected, dtype=float)
+        self.param = _floats(self.param)
+        self.expected = _floats(self.expected)
         self.counts = np.asarray(self.counts)
+        if self.param.ndim != 1:
+            raise ValueError("a scan's param, expected, and counts must be 1-D arrays")
         if not (self.param.shape == self.expected.shape == self.counts.shape):
             raise ValueError("param, expected, and counts must have equal shapes")
         if self.param.size == 0:
@@ -204,7 +205,7 @@ class ScanResult:
         if self.counts.dtype.kind == "i":
             whole = self.counts >= 0
         else:  # checked as floats, which the integer cast would truncate, wrap or warn on
-            values = self.counts.astype(float)
+            values = _floats(self.counts)
             whole = (values >= 0) & (values < 2.0**63) & (np.floor(values) == values)
         if not np.all(whole):
             raise ValueError("counts must be nonnegative whole numbers below 2^63")
@@ -228,8 +229,7 @@ def _finish_scan(
     param: np.ndarray, rate_hz: float, t_bin_s: float, shape: np.ndarray, seed: int, noiseless: bool
 ) -> ScanResult:
     """Expected counts rate * t_bin * shape, clipped at 0, then sampled (or rounded if ``noiseless``)."""
-    # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
-    if not (0.0 < rate_hz <= sys.float_info.max and 0.0 < t_bin_s <= sys.float_info.max):
+    if not (0.0 < _floats(rate_hz) < math.inf and 0.0 < _floats(t_bin_s) < math.inf):
         raise ValueError("rate and integration time must be positive and finite")
     expected = np.clip(float(rate_hz) * t_bin_s * shape, 0.0, None)
     if noiseless:
@@ -259,7 +259,7 @@ def hom_scan(
     rate * t_bin * (1 - overlap * g(delay)): the far-from-dip baseline is
     rate * t_bin and the dip visibility equals ``overlap``.
     """
-    delays = np.asarray(delays_mm, dtype=float)
+    delays = _floats(delays_mm)
     return _finish_scan(delays, rate_hz, t_bin_s, 2.0 * hom_profile(spectrum, delays, overlap), seed, noiseless)
 
 
@@ -281,7 +281,7 @@ def bunching_scan(
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
-    delays = np.asarray(delays_mm, dtype=float)
+    delays = _floats(delays_mm)
     shape = (1.0 + overlap * overlap_kernel(spectrum, delays)) / 8.0
     return _finish_scan(delays, rate_hz, t_bin_s, shape, seed, noiseless)
 
@@ -306,11 +306,11 @@ def noon_fringe(
     phi0 = ``FRINGE_PHASE_OFFSET`` = pi places the zero of the pattern at
     phi = 0, matching the Fock-space pipeline's reference detection pattern.
     """
-    if not 1 <= n_photons <= sys.float_info.max:
+    if not 1 <= _floats(n_photons) < math.inf:
         raise ValueError("photon number must be at least 1 and finite")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    phases = np.asarray(phases_rad, dtype=float)
+    phases = _floats(phases_rad)
     with np.errstate(over="ignore"):
         theta = n_photons * phases + FRINGE_PHASE_OFFSET
     if not np.all(np.isfinite(theta)):
@@ -327,10 +327,13 @@ def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np
     photons in one port and 1 in the other.  The result is
     (N / 2^(N-1)) * (1 + cos(N phi + pi)) / 2 per the closed form.
     """
+    phases = _floats(phases_rad)
+    if phases.ndim != 1:
+        raise ValueError("phases must be a 1-D array")
     state0 = fock.noon_state(n_photons, "arm-a", "arm-b")
     pattern = fock.FockState.from_counts({"arm-a": n_photons - 1, "arm-b": 1})
-    probs = np.empty(len(phases_rad), dtype=float)
-    for i, phi in enumerate(np.asarray(phases_rad, dtype=float)):
+    probs = np.empty(len(phases), dtype=float)
+    for i, phi in enumerate(phases):
         circuit = Circuit(
             (
                 CircuitElement.phase(phi, "arm-b"),
@@ -348,19 +351,20 @@ def plate_phase(
 
     Even in the tilt and zero at normal incidence.
     """
-    tilt_rad = np.asarray(tilt_rad, dtype=float)
+    tilt_rad = _floats(tilt_rad)
+    # Checked in Python floats, here and below: a numpy product that overflows warns before it can be rejected.
+    thickness_m, index, wavelength_m = (_floats(value).item() for value in (thickness_m, index, wavelength_m))
     if np.any(np.abs(tilt_rad) >= math.pi / 3.0):
         raise ValueError("plate tilt must satisfy |tilt| < pi/3")
     if index <= 1.0:
         raise ValueError("plate index must exceed 1")
-    if not math.isfinite(float(index) * float(index)):
+    if not math.isfinite(index * index):
         raise ValueError("plate index squared must be finite")
     if not (thickness_m > 0.0 and wavelength_m > 0.0):
         raise ValueError("plate thickness and wavelength must be positive")
     geometry = np.sqrt(index**2 - np.sin(tilt_rad) ** 2) - np.cos(tilt_rad) - (index - 1.0)
     scale = 2.0 * math.pi * thickness_m / wavelength_m
-    # Checked in Python floats: a numpy product that overflows warns before it can be rejected.
-    if not math.isfinite(float(scale) * float(np.max(np.abs(geometry), initial=0.0))):
+    if not math.isfinite(scale * float(np.max(np.abs(geometry), initial=0.0))):
         raise ValueError("plate phase must be finite")
     return scale * geometry
 
@@ -490,7 +494,7 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     weights.  Data with no fringe or less than one count in all, or a fit
     that does not converge, raises ``FitError``.
     """
-    if not 1 <= n_expected <= sys.float_info.max:
+    if not 1 <= _floats(n_expected) < math.inf:
         raise ValueError("expected fringe order must be at least 1 and finite")
     phi = scan.param
     data = scan.data()
@@ -574,11 +578,11 @@ class SqlVerdict:
 
 def sql_verdict(visibility: float, visibility_sigma: float, n_photons: int) -> SqlVerdict:
     """Strict comparison against the 1/sqrt(N) visibility threshold."""
-    if not 2 <= n_photons <= sys.float_info.max:
+    if not 2 <= _floats(n_photons) < math.inf:
         raise ValueError("the SQL comparison needs a finite photon number of at least 2")
-    if not abs(visibility) <= sys.float_info.max:
+    if not abs(_floats(visibility)) < math.inf:
         raise ValueError(f"visibility must be finite, got {visibility}")
-    if not 0.0 <= visibility_sigma <= sys.float_info.max:
+    if not 0.0 <= _floats(visibility_sigma) < math.inf:
         raise ValueError(f"visibility sigma must be nonnegative and finite, got {visibility_sigma}")
     threshold = 1.0 / math.sqrt(n_photons)
     beats = visibility > threshold
@@ -638,7 +642,7 @@ class BudgetReport:
 
 def efficiency_budget(chain: EfficiencyChain, quoted_overall: float | None = None) -> BudgetReport:
     """Multiply out a detection chain; the pair product squares the arm."""
-    if quoted_overall is not None and not 0.0 <= quoted_overall <= sys.float_info.max:
+    if quoted_overall is not None and not 0.0 <= _floats(quoted_overall) < math.inf:
         raise ValueError(f"quoted overall efficiency must be nonnegative and finite, got {quoted_overall}")
     single = math.prod(eta for _, eta in chain.stages)
     return BudgetReport(

@@ -12,11 +12,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .spectral import _floats
 
 ModeId = str
 
@@ -88,7 +89,7 @@ class StateVector:
             unknown = set(fock.modes()) - mode_set
             if unknown:
                 raise FockError(f"basis state {fock} uses undeclared modes {sorted(unknown)}")
-            amp = complex(amp)
+            amp = _floats(amp, complex).item()
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {fock} must be finite, got {amp!r}")
             if abs(amp) > AMPLITUDE_ATOL:
@@ -118,10 +119,11 @@ def enumerate_basis(n_photons: int, modes: Iterable[ModeId]) -> list[FockState]:
     the given mode order, and has C(n + m - 1, n) entries.
     """
     modes = tuple(modes)
-    if n_photons < 0:
-        raise ValueError("photon number must be nonnegative")
+    if not (0 <= n_photons < math.inf and n_photons == int(n_photons)):
+        raise ValueError("photon number must be a nonnegative integer")
     if not modes:
         raise ValueError("mode list must be nonempty")
+    n_photons = int(n_photons)
     size = math.comb(n_photons + len(modes) - 1, n_photons)
     if size > _MAX_BASIS_STATES:
         raise FockError(f"basis of {size} states exceeds the limit of {_MAX_BASIS_STATES}")
@@ -140,8 +142,8 @@ def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateV
 
 def noon_state(n_photons: int, mode_a: ModeId, mode_b: ModeId) -> StateVector:
     """The path-entangled state (|N,0> + |0,N>)/sqrt(2) on two modes."""
-    if n_photons < 1:
-        raise ValueError("photon number must be at least 1")
+    if not 1 <= _floats(n_photons) < math.inf:
+        raise ValueError("photon number must be at least 1 and finite")
     amp = 1.0 / math.sqrt(2.0)
     return StateVector(
         (mode_a, mode_b),
@@ -161,7 +163,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 
 def _check_unitary(matrix: np.ndarray) -> np.ndarray:
-    u = np.asarray(matrix, dtype=complex)
+    u = _floats(matrix, complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not np.isfinite(u).all():
@@ -215,8 +217,7 @@ def apply_phase(state: StateVector, mode: ModeId, phi: float) -> StateVector:
     """Multiply each basis amplitude by exp(i * n * phi) for the photon count n in ``mode``."""
     if mode not in state.modes:
         raise FockError(f"mode {mode!r} not in state modes {state.modes!r}")
-    # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
-    if not abs(phi) <= sys.float_info.max:
+    if not abs(_floats(phi)) < math.inf:
         raise ValueError(f"phase must be finite, got {phi}")
     factor = complex(np.exp(1j * phi))
     return StateVector(

@@ -72,7 +72,7 @@ class SellmeierCoefficients:
     source: str
 
     def __post_init__(self):
-        nonfinite = [key for key in _SELLMEIER_FIELDS if not math.isfinite(getattr(self, key))]
+        nonfinite = [key for key in _SELLMEIER_FIELDS if not np.isfinite(_floats(getattr(self, key)))]
         if nonfinite:
             raise ValueError(f"section {self.name!r} has non-finite values for {nonfinite}")
         if not 0 < self.lambda_min_um < self.lambda_max_um:
@@ -85,7 +85,7 @@ def refractive_index(coeffs: SellmeierCoefficients, wavelength_nm: ArrayLike) ->
     Raises SpectralError where the fit's n^2 is not positive and finite, as
     it can be near a pole or for coefficients that are not physical.
     """
-    lam_nm = np.asarray(wavelength_nm, dtype=float)
+    lam_nm = _floats(wavelength_nm)
     lam_um = lam_nm / 1000.0
     if not np.all((coeffs.lambda_min_um <= lam_um) & (lam_um <= coeffs.lambda_max_um)):
         raise SpectralError(
@@ -181,10 +181,9 @@ class CrystalSpec:
     def __post_init__(self):
         if self.process not in WAVE_ORDER:
             raise ValueError(f"process must be one of {sorted(WAVE_ORDER)}, got {self.process!r}")
-        # float_info.max, not inf, bounds a finite value: an int beyond float range compares below inf.
-        if not 0 < self.length_mm <= sys.float_info.max:
+        if not 0 < _floats(self.length_mm) < math.inf:
             raise ValueError("crystal length must be positive and finite")
-        if not 0 < self.poling_period_um <= sys.float_info.max:
+        if not 0 < _floats(self.poling_period_um) < math.inf:
             raise ValueError("poling period must be positive and finite")
         roles = WAVE_ORDER[self.process]
         if set(self.axes) != set(roles):
@@ -193,13 +192,10 @@ class CrystalSpec:
         if unknown:
             raise ValueError(f"axes reference unknown dispersion sets: {sorted(unknown)}")
 
-    def index(self, role: str, wavelength_nm: ArrayLike) -> ArrayLike:
-        return refractive_index(self.dispersion[self.axes[role]], wavelength_nm)
-
     def waves(self, pump_nm: ArrayLike, signal_nm: ArrayLike) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         """The ``WAVE_ORDER[process]`` wavelengths, the third by energy conservation; pump or signal may be a grid."""
         # [()] keeps a scalar input a scalar; a zero or degenerate input gives an inf or nan the check rejects.
-        pump, signal = np.asarray(pump_nm, dtype=float)[()], np.asarray(signal_nm, dtype=float)[()]
+        pump, signal = _floats(pump_nm)[()], _floats(signal_nm)[()]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             third = 1.0 / (1.0 / pump - 1.0 / signal if self.process == "spdc" else 1.0 / pump + 1.0 / signal)
         waves = (pump, signal, third) if self.process == "spdc" else (third, pump, signal)
@@ -207,10 +203,6 @@ class CrystalSpec:
             a, b, c = WAVE_ORDER[self.process]
             raise ValueError(f"{a}, {b} and {c} wavelengths must be positive and finite, with 1/{a} = 1/{b} + 1/{c}")
         return waves
-
-
-def _wavevector(crystal: CrystalSpec, role: str, wavelength_nm: ArrayLike) -> ArrayLike:
-    return 2.0 * np.pi * crystal.index(role, wavelength_nm) / (np.asarray(wavelength_nm, float) * 1e-9)
 
 
 def _material_mismatch(
@@ -224,18 +216,16 @@ def _material_mismatch(
     The grating term 2pi/period enters the full mismatch with the returned
     sign: +1 for SPDC, -1 for SFG.
     """
-    role_a, role_b, role_c = WAVE_ORDER[crystal.process]
+    waves = [_floats(wave) for wave in (lambda_a_nm, lambda_b_nm, lambda_c_nm)]
     # The indices come first: their validity windows reject a wavelength that is not positive and finite.
-    material = (
-        _wavevector(crystal, role_a, lambda_a_nm)
-        - _wavevector(crystal, role_b, lambda_b_nm)
-        - _wavevector(crystal, role_c, lambda_c_nm)
+    k_a, k_b, k_c = (
+        2.0 * np.pi * refractive_index(crystal.dispersion[crystal.axes[role]], wave) / (wave * 1e-9)
+        for role, wave in zip(WAVE_ORDER[crystal.process], waves)
     )
-    inv_a = 1.0 / np.asarray(lambda_a_nm, float)
-    inv_bc = 1.0 / np.asarray(lambda_b_nm, float) + 1.0 / np.asarray(lambda_c_nm, float)
-    if np.any(np.abs(inv_a - inv_bc) > 1e-6 * inv_a):
+    inv_a, inv_b, inv_c = (1.0 / wave for wave in waves)
+    if np.any(np.abs(inv_a - (inv_b + inv_c)) > 1e-6 * inv_a):
         raise ValueError("wavelengths violate energy conservation (1/a = 1/b + 1/c)")
-    return material, (1.0 if crystal.process == "spdc" else -1.0)
+    return k_a - k_b - k_c, (1.0 if crystal.process == "spdc" else -1.0)
 
 
 def phase_mismatch(
@@ -296,8 +286,8 @@ class Spectrum:
     clipped: bool = False
 
     def __post_init__(self):
-        self.wavelength_nm = np.asarray(self.wavelength_nm, dtype=float)
-        self.density = np.asarray(self.density, dtype=float)
+        self.wavelength_nm = _floats(self.wavelength_nm)
+        self.density = _floats(self.density)
         if self.wavelength_nm.ndim != 1 or self.wavelength_nm.shape != self.density.shape:
             raise SpectralError("grid and density must be 1-D arrays of equal length")
         if self.wavelength_nm.size < 3:
@@ -313,12 +303,6 @@ class Spectrum:
         if np.any(self.density < 0):
             raise SpectralError("density values must be nonnegative")
 
-    def normalized(self) -> "Spectrum":
-        peak = float(self.density.max())
-        if peak == 0.0:
-            raise ValueError("cannot normalize an all-zero density")
-        return Spectrum(self.wavelength_nm, self.density / peak, self.clipped)
-
     def to_csv(self) -> str:
         return _write_csv("wavelength_nm,density", self.wavelength_nm, self.density)
 
@@ -326,6 +310,21 @@ class Spectrum:
     def from_csv(cls, text: str) -> "Spectrum":
         """Parse ``to_csv`` output.  The CSV has no ``clipped`` column, so it reads back False."""
         return cls(*_read_csv(text, "wavelength_nm,density", (float, float)))
+
+
+def _floats(values, dtype: type = float) -> np.ndarray:
+    """``np.asarray(values, dtype)`` of a caller's numbers, each one that no float holds made nan.
+
+    A call site's nan check then rejects such a number (``10**400``) with its own message.
+    A string is not parsed as a number: it raises ``TypeError``.
+    """
+    cells = np.asarray(values)
+    if cells.dtype.kind in "SU":
+        raise TypeError(f"expected numbers, got {values!r}")
+    try:
+        return cells.astype(dtype, copy=False)
+    except OverflowError:
+        return np.where(np.abs(cells) > sys.float_info.max, math.nan, cells).astype(dtype)
 
 
 def _write_csv(header: str, *columns: np.ndarray) -> str:
@@ -500,20 +499,23 @@ def _peak_normalized(grid_nm: np.ndarray, density: np.ndarray) -> Spectrum:
 
     A density that is zero everywhere (a sinc^2 that underflowed) is rejected.
     """
-    spectrum = Spectrum(grid_nm, density).normalized()
+    spectrum = Spectrum(grid_nm, density)
+    peak = spectrum.density.max()
+    if peak == 0.0:
+        raise ValueError("cannot normalize an all-zero density")
+    spectrum.density = spectrum.density / peak
     spectrum.clipped = bool(spectrum.density[0] > 0.5 or spectrum.density[-1] > 0.5)
     return spectrum
 
 
 def _qpm_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
-    grid = np.asarray(grid_nm, dtype=float)
-    dk = phase_mismatch(crystal, *crystal.waves(pump_nm, grid))
+    dk = phase_mismatch(crystal, *crystal.waves(pump_nm, grid_nm))
     # A crystal so long that dk * L overflows gives a NaN density, which
     # Spectrum rejects as not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         arg = dk * (crystal.length_mm * 1e-3) / 2.0
         density = np.sinc(arg / np.pi) ** 2
-    return _peak_normalized(grid, density)
+    return _peak_normalized(grid_nm, density)
 
 
 def emission_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
@@ -619,7 +621,7 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     weight = dens[:half] + dens[::-1][:half]
     if lam.size % 2:
         weight[-1] = dens[half - 1]
-    tau = np.atleast_1d(np.asarray(delays_mm, dtype=float)) / _C_MM_PER_S
+    tau = np.atleast_1d(_floats(delays_mm)) / _C_MM_PER_S
     distinct, back = np.unique(np.concatenate(([0.0], np.abs(tau))), return_inverse=True)
     # distinct[-1] is the largest |delay| (np.unique sorts a NaN last) and omega[0] the largest detuning;
     # they are multiplied as Python floats because a numpy product that overflows warns first.
@@ -668,9 +670,9 @@ def coherence_length(center_nm: float, bandwidth_nm: float) -> float:
     Uses the half-width-at-half-maximum pairing L_c = (2 ln2 / pi)
     * lam^2 / dlam between a Gaussian spectral FWHM and its transform.
     """
-    if not 0.0 < center_nm <= sys.float_info.max:
+    if not 0.0 < _floats(center_nm) < math.inf:
         raise ValueError(f"center wavelength must be positive and finite, got {center_nm}")
-    if not 0.0 < bandwidth_nm <= sys.float_info.max:
+    if not 0.0 < _floats(bandwidth_nm) < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth_nm}")
     length_mm = (2.0 * math.log(2.0) / math.pi) * center_nm * center_nm / bandwidth_nm * 1e-6
     if not math.isfinite(length_mm):

@@ -695,6 +695,22 @@ class TestScanResult:
         with pytest.raises(ValueError, match=r"^counts must be nonnegative whole numbers below 2\^63$"):
             ns.ScanResult([0.0], [1.0], counts)
 
+    NOT_1D = "a scan's param, expected, and counts must be 1-D arrays"
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: ns.noon_fringe(2, 0.9, 0.5, 600.0, 1.0, 1), NOT_1D),
+            (lambda: ns.noon_fringe(2, 0.9, np.linspace(0.0, 2 * np.pi, 24).reshape(2, 12), 600.0, 1.0, 1), NOT_1D),
+            (lambda: ns.hom_scan(sinc2_spectrum(points=64), 0.9, 0.5, 600.0, 1.0, 1), NOT_1D),
+            (lambda: ns.noon_fringe_probabilities(2, 0.5), "phases must be a 1-D array"),
+        ],
+        ids=["fringe-one-phase", "fringe-2x12-phases", "hom-one-delay", "probabilities-one-phase"],
+    )
+    def test_scan_axis_that_is_not_one_dimensional_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_whole_float_count_stored_as_integer(self):
         scan = ns.ScanResult([0.0], [1.0], [300.0])
         assert scan.counts.dtype == np.int64 and scan.counts.tolist() == [300]

@@ -82,6 +82,18 @@ class TestEnumerateBasis:
         with pytest.raises(ValueError):
             ns.enumerate_basis(2, [])
 
+    @pytest.mark.parametrize("n_photons", [2.5, math.inf, math.nan])
+    def test_photon_number_that_is_not_a_whole_number_rejected(self, n_photons):
+        with pytest.raises(ValueError, match="^photon number must be a nonnegative integer$"):
+            ns.enumerate_basis(n_photons, ("a", "b"))
+
+    def test_photon_number_beyond_float_range_reaches_the_capacity_check(self):
+        with pytest.raises(FockError, match="^basis of 10{399}1 states exceeds the limit of 200000$"):
+            ns.enumerate_basis(10**400, ("a", "b"))
+
+    def test_whole_float_photon_number_counts_as_its_integer(self):
+        assert ns.enumerate_basis(2.0, ("a", "b")) == ns.enumerate_basis(2, ("a", "b"))
+
 
 class TestNoonState:
     def test_two_photon_amplitudes(self):
@@ -118,6 +130,11 @@ class TestNoonState:
     def test_requires_at_least_one_photon(self):
         with pytest.raises(ValueError):
             ns.noon_state(0, "a", "b")
+
+    @pytest.mark.parametrize("n_photons", [math.inf, math.nan, 10**400])
+    def test_photon_number_that_no_float_holds_rejected(self, n_photons):
+        with pytest.raises(ValueError, match="^photon number must be at least 1 and finite$"):
+            ns.noon_state(n_photons, "a", "b")
 
 
 class TestInnerProduct:

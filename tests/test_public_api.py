@@ -4,7 +4,9 @@ Each float argument is drawn from nan, +-inf, 0, -0.0, 1e-300, 1e300, -1 and a v
 gets the drawn value in one cell.  A call returns a finite result or raises ``ValueError``, which every library
 error (``SpectralError``, ``FitError``, ``FockError``) subclasses, and warns nothing.  ``FitReport``, ``SqlVerdict`` and ``BudgetReport`` record what
 the functions computed and are not drawn.  The functions that check their scalar arguments are also called with an
-integer beyond float range in each of them, one at a time, with the same requirement.
+integer beyond float range in each of them, one at a time, with the same requirement.  Every function that converts
+a caller's numbers also gets such an integer in one cell of each array or sequence argument, or in place of a number:
+it must raise the ``ValueError`` that nan in the same place raises.
 """
 
 import dataclasses
@@ -157,6 +159,36 @@ INTEGER_CASES = {
     "coherence_length": (ns.coherence_length, (1547.0, 1.28)),
 }
 
+#: name -> (call, a valid value of each argument): ``HUGE`` goes into the last cell of a list argument (a numpy array
+#: cannot hold it) or in place of a number, one argument at a time.
+SEQUENCE_CASES = {
+    "refractive_index": (lambda waves: ns.refractive_index(DISPERSION["ny"], waves), ([1547.0, 1548.0],)),
+    "CrystalSpec.waves": (SPDC.waves, (773.5, [1547.0, 1548.0])),
+    "phase_mismatch": (lambda *waves: ns.phase_mismatch(SPDC, *waves), (773.5, 1547.0, 1547.0)),
+    "solve_poling_period": (lambda *waves: ns.solve_poling_period(SPDC, waves), (773.5, 1547.0, 1547.0)),
+    "emission_spectrum": (lambda pump, grid: ns.emission_spectrum(SPDC, pump, grid), (773.5, GRID.tolist())),
+    "acceptance_spectrum": (lambda pump, grid: ns.acceptance_spectrum(SFG, pump, grid), (795.0, GRID.tolist())),
+    "Spectrum": (ns.Spectrum, (GRID.tolist(), EMISSION.density.tolist())),
+    "overlap_kernel": (lambda delays: ns.overlap_kernel(EMISSION, delays), ([0.0, 0.5],)),
+    "poisson_counts": (lambda means: ns.poisson_counts(means, 1), ([1.0, 5.0],)),
+    "ScanResult": (ns.ScanResult, (PHASES.tolist(), FRINGE.expected.tolist(), FRINGE.counts.tolist())),
+    "hom_scan": (lambda delays: ns.hom_scan(EMISSION, 0.9, delays, 600.0, 1.0, 1), (DELAYS.tolist(),)),
+    "bunching_scan": (
+        lambda delays: ns.bunching_scan(1.0, delays, 2400.0, 1.0, 1, spectrum=EMISSION),
+        (DELAYS.tolist(),),
+    ),
+    "noon_fringe": (lambda phases: ns.noon_fringe(2, 0.85, phases, 600.0, 1.0, 1), (PHASES.tolist(),)),
+    "noon_fringe_probabilities": (ns.noon_fringe_probabilities, (2, [0.0, 1.0])),
+    "plate_phase": (ns.plate_phase, ([0.1, 0.2], 2e-4, 1.5, 525e-9)),
+    "SellmeierCoefficients": CASES["SellmeierCoefficients"],
+    "StateVector": CASES["StateVector"],
+    "apply_two_mode_mixer": (
+        lambda *u: ns.apply_two_mode_mixer(STATE, [u[:2], u[2:]], "a", "b"),
+        (0.8, -0.6, 0.6, 0.8),
+    ),
+    "DetectorPattern.of": (lambda eta: ns.DetectorPattern.of({"a": True, "b": False}, eta), (0.5,)),
+}
+
 
 def finite(value):
     """Whether every float in ``value``, through dataclass fields, mappings, sequences and arrays, is finite."""
@@ -199,6 +231,36 @@ def test_integer_beyond_float_range_gives_a_finite_result_or_a_library_error(nam
             except ERRORS:
                 continue
         assert finite(result), (name, i, result)
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_CASES))
+def test_integer_beyond_float_range_in_a_cell_raises_what_nan_raises(name):
+    call, valid = SEQUENCE_CASES[name]
+    for i, value in enumerate(valid):
+        messages = []
+        for bad in (HUGE, math.nan):
+            args = [*valid[:i], [*value[:-1], bad] if isinstance(value, list) else bad, *valid[i + 1 :]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    call(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], (name, i)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ns.noon_fringe(2, 0.85, PHASES, "600", 1.0, 1),
+        lambda: dataclasses.replace(SPDC, length_mm="10"),
+        lambda: ns.refractive_index(DISPERSION["ny"], "1547"),
+        lambda: ns.Spectrum(GRID, [str(d) for d in EMISSION.density]),
+    ],
+    ids=["scalar", "field", "array-site-scalar", "sequence"],
+)
+def test_string_is_not_read_as_a_number(call):
+    with pytest.raises(TypeError, match="^expected numbers, got "):
+        call()
 
 
 def test_library_errors_are_value_errors_in_one_class_per_module():

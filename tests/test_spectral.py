@@ -584,11 +584,6 @@ class TestSpectrumType:
         with pytest.raises(ValueError, match=rf"^line {line}: "):
             ns.Spectrum.from_csv(text)
 
-    def test_normalization_idempotent(self, filtered):
-        once = filtered.normalized()
-        twice = once.normalized()
-        assert np.array_equal(once.density, twice.density)
-
     def test_negative_density_rejected(self):
         with pytest.raises(SpectralError):
             ns.Spectrum(np.linspace(0, 1, 5), np.array([0.0, 1.0, -0.1, 1.0, 0.0]))
