@@ -4,9 +4,11 @@ Run from the root of a checkout:
 
     python bench/mutants.py
 
-For each mutant in ``MUTANTS`` the checkout (without ``.git`` and caches) is
-copied to a temporary directory, one textual replacement is made in the copy,
-and the tier-1 suite runs there with ``-x``: a failing run kills the mutant.
+For each mutant in ``MUTANTS`` the checkout (without ``.git``, caches and
+``tests/test_mutants.py``, which requires every listed text unmutated and so
+would kill every mutant) is copied to a temporary directory, one textual
+replacement is made in the copy, and the tier-1 suite runs there with ``-x``:
+a failing run kills the mutant.
 Every mutant runs twice.  In ``exact`` mode the golden gate compares output
 bytes, as on the build that recorded them.  In ``fallback`` mode the copy's
 recorded ``# probe =`` line is overwritten, so the gate takes its numeric
@@ -35,7 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = (sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
-IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_tmp")
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_tmp", "test_mutants.py"
+)
 HASHES = Path("tests/golden/sha256.txt")
 MODES = ("exact", "fallback")
 
@@ -136,6 +140,19 @@ MUTANTS = (
         "    try:\n        return cells.astype(dtype, copy=False)\n    except OverflowError:\n"
         "        return np.where(np.abs(cells) > sys.float_info.max, math.nan, cells).astype(dtype)\n",
         "    return cells.astype(dtype, copy=False)\n",
+    ),
+    Mutant("photon-number-bound-inclusive", "src/noonsim/fock.py", "least <= n < 2**63", "least <= n <= 2**63"),
+    Mutant(
+        "no-positive-peak-guard-deleted",
+        "src/noonsim/spectral.py",
+        '    if not peak > 0.0:\n        raise SpectralError("density has no positive peak")\n',
+        "",
+    ),
+    Mutant(
+        "kernel-unit-peak-deleted",
+        "src/noonsim/spectral.py",
+        "lam, dens = spectrum.wavelength_nm, _unit_peak(spectrum.density)\n    half",
+        "lam, dens = spectrum.wavelength_nm, spectrum.density\n    half",
     ),
 )
 

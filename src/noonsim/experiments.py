@@ -306,8 +306,7 @@ def noon_fringe(
     phi0 = ``FRINGE_PHASE_OFFSET`` = pi places the zero of the pattern at
     phi = 0, matching the Fock-space pipeline's reference detection pattern.
     """
-    if not 1 <= _floats(n_photons) < math.inf:
-        raise ValueError("photon number must be at least 1 and finite")
+    n_photons = fock._photon_number(n_photons, 1)
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     phases = _floats(phases_rad)
@@ -578,8 +577,7 @@ class SqlVerdict:
 
 def sql_verdict(visibility: float, visibility_sigma: float, n_photons: int) -> SqlVerdict:
     """Strict comparison against the 1/sqrt(N) visibility threshold."""
-    if not 2 <= _floats(n_photons) < math.inf:
-        raise ValueError("the SQL comparison needs a finite photon number of at least 2")
+    n_photons = fock._photon_number(n_photons, 2)
     if not abs(_floats(visibility)) < math.inf:
         raise ValueError(f"visibility must be finite, got {visibility}")
     if not 0.0 <= _floats(visibility_sigma) < math.inf:

@@ -10,7 +10,6 @@ may be evaluated concurrently.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -38,6 +37,12 @@ class FockError(ValueError):
     """A state or basis over its size limit, or modes a state does not declare."""
 
 
+def _photon_number(n, least: int, what: str = "photon number") -> int:
+    if least <= n < 2**63 and n == int(n):
+        return int(n)
+    raise ValueError(f"{what} must be a whole number in [{least}, 2^63)")
+
+
 @dataclass(frozen=True)
 class FockState:
     """One occupation-number basis state.
@@ -53,10 +58,8 @@ class FockState:
     def from_counts(cls, counts: Mapping[ModeId, int]) -> "FockState":
         cleaned = []
         for mode, n in counts.items():
-            if n != int(n) or n < 0:
-                raise ValueError(f"photon count for mode {mode!r} must be a nonnegative integer, got {n!r}")
-            if n:
-                cleaned.append((mode, int(n)))
+            if n := _photon_number(n, 0, f"photon count for mode {mode!r}"):
+                cleaned.append((mode, n))
         return cls(tuple(sorted(cleaned)))
 
     def count(self, mode: ModeId) -> int:
@@ -119,20 +122,18 @@ def enumerate_basis(n_photons: int, modes: Iterable[ModeId]) -> list[FockState]:
     the given mode order, and has C(n + m - 1, n) entries.
     """
     modes = tuple(modes)
-    if not (0 <= n_photons < math.inf and n_photons == int(n_photons)):
-        raise ValueError("photon number must be a nonnegative integer")
+    n_photons = _photon_number(n_photons, 0)
     if not modes:
         raise ValueError("mode list must be nonempty")
-    n_photons = int(n_photons)
     size = math.comb(n_photons + len(modes) - 1, n_photons)
     if size > _MAX_BASIS_STATES:
         raise FockError(f"basis of {size} states exceeds the limit of {_MAX_BASIS_STATES}")
 
-    # Each multiset of modes is one pattern; sort its occupation tuples into the documented order.
-    occupations = sorted(
-        tuple(combo.count(m) for m in modes) for combo in itertools.combinations_with_replacement(modes, n_photons)
-    )
-    return [FockState.from_counts(dict(zip(modes, occ))) for occ in occupations]
+    # Fill the modes in order: each partial pattern takes every count its photons left allow, smallest first.
+    patterns = [((), n_photons)]
+    for _ in modes[1:]:
+        patterns = [(occ + (k,), left - k) for occ, left in patterns for k in range(left + 1)]
+    return [FockState.from_counts(dict(zip(modes, occ + (left,)))) for occ, left in patterns]
 
 
 def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateVector:
@@ -142,8 +143,7 @@ def basis_state(modes: Iterable[ModeId], counts: Mapping[ModeId, int]) -> StateV
 
 def noon_state(n_photons: int, mode_a: ModeId, mode_b: ModeId) -> StateVector:
     """The path-entangled state (|N,0> + |0,N>)/sqrt(2) on two modes."""
-    if not 1 <= _floats(n_photons) < math.inf:
-        raise ValueError("photon number must be at least 1 and finite")
+    n_photons = _photon_number(n_photons, 1)
     amp = 1.0 / math.sqrt(2.0)
     return StateVector(
         (mode_a, mode_b),

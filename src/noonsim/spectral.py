@@ -508,6 +508,14 @@ def _peak_normalized(grid_nm: np.ndarray, density: np.ndarray) -> Spectrum:
     return spectrum
 
 
+def _unit_peak(density: np.ndarray) -> np.ndarray:
+    """``density`` over its peak, so a sum or product of it cannot overflow; one with no positive value is rejected."""
+    peak = density.max()
+    if not peak > 0.0:
+        raise SpectralError("density has no positive peak")
+    return density / peak
+
+
 def _qpm_spectrum(crystal: CrystalSpec, pump_nm: float, grid_nm: np.ndarray) -> Spectrum:
     dk = phase_mismatch(crystal, *crystal.waves(pump_nm, grid_nm))
     # A crystal so long that dk * L overflows gives a NaN density, which
@@ -546,7 +554,7 @@ def filtered_spectrum(emission: Spectrum, acceptance: Spectrum) -> Spectrum:
         np.abs(emission.wavelength_nm - acceptance.wavelength_nm)
     ) > 1e-9:
         raise SpectralError("emission and acceptance spectra must share one grid")
-    return _peak_normalized(emission.wavelength_nm, emission.density * acceptance.density**2)
+    return _peak_normalized(emission.wavelength_nm, _unit_peak(emission.density) * _unit_peak(acceptance.density) ** 2)
 
 
 def fwhm(spectrum: Spectrum) -> float:
@@ -555,16 +563,12 @@ def fwhm(spectrum: Spectrum) -> float:
     Requires a single dominant peak whose half-height is crossed on both
     sides within the grid.
     """
-    dens = spectrum.density
-    lam = spectrum.wavelength_nm
-    peak = float(dens.max())
-    if peak <= 0:
-        raise SpectralError("density has no positive peak")
-    at_peak = np.flatnonzero(dens >= peak * (1.0 - 1e-12))
+    lam, dens = spectrum.wavelength_nm, _unit_peak(spectrum.density)
+    at_peak = np.flatnonzero(dens >= 1.0 - 1e-12)
     if np.any(np.diff(at_peak) > 1):
         raise SpectralError("density has multiple separated maxima; FWHM is ambiguous")
     left_peak, right_peak = int(at_peak[0]), int(at_peak[-1])
-    half = peak / 2.0
+    half = 0.5
 
     below_left = np.flatnonzero(dens[:left_peak] < half)
     if below_left.size == 0:
@@ -592,6 +596,7 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     grid center, linearized as omega = 2*pi*c*(lam0 - lam)/lam0^2, and
     symmetrized in the detuning as the degenerate-pair construction
     implies; delays are path-length differences converted at tau = delay/c.
+    A density with no positive value raises ``SpectralError``.
 
     The symmetrized density is even about the grid center and omega is odd
     there, so cos(tau*omega) pairs point i with point N-1-i and the sum runs
@@ -614,7 +619,7 @@ def overlap_kernel(spectrum: Spectrum, delays_mm: ArrayLike) -> np.ndarray:
     only to Spectrum's 1e-4 tolerance, or delays of metres), takes the
     direct sum of one cosine per (row, point) instead.
     """
-    lam, dens = spectrum.wavelength_nm, spectrum.density
+    lam, dens = spectrum.wavelength_nm, _unit_peak(spectrum.density)
     half = (lam.size + 1) // 2
     lam0 = 0.5 * (lam[0] + lam[-1])
     omega = 2.0 * np.pi * _C_NM_PER_S * (lam0 - lam[:half]) / lam0**2

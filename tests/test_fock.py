@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -84,11 +86,11 @@ class TestEnumerateBasis:
 
     @pytest.mark.parametrize("n_photons", [2.5, math.inf, math.nan])
     def test_photon_number_that_is_not_a_whole_number_rejected(self, n_photons):
-        with pytest.raises(ValueError, match="^photon number must be a nonnegative integer$"):
+        with pytest.raises(ValueError, match=r"^photon number must be a whole number in \[0, 2\^63\)$"):
             ns.enumerate_basis(n_photons, ("a", "b"))
 
-    def test_photon_number_beyond_float_range_reaches_the_capacity_check(self):
-        with pytest.raises(FockError, match="^basis of 10{399}1 states exceeds the limit of 200000$"):
+    def test_photon_number_beyond_float_range_is_outside_the_photon_number_range(self):
+        with pytest.raises(ValueError, match=r"^photon number must be a whole number in \[0, 2\^63\)$"):
             ns.enumerate_basis(10**400, ("a", "b"))
 
     def test_whole_float_photon_number_counts_as_its_integer(self):
@@ -133,8 +135,49 @@ class TestNoonState:
 
     @pytest.mark.parametrize("n_photons", [math.inf, math.nan, 10**400])
     def test_photon_number_that_no_float_holds_rejected(self, n_photons):
-        with pytest.raises(ValueError, match="^photon number must be at least 1 and finite$"):
+        with pytest.raises(ValueError, match=r"^photon number must be a whole number in \[1, 2\^63\)$"):
             ns.noon_state(n_photons, "a", "b")
+
+
+#: Every place a photon number enters the library: name -> (call, the error's subject, least accepted number).
+PHOTON_NUMBER_SITES = {
+    "FockState.from_counts": (lambda n: FockState.from_counts({"a": n}), "photon count for mode 'a'", 0),
+    "enumerate_basis": (lambda n: ns.enumerate_basis(n, ("a", "b")), "photon number", 0),
+    "noon_state": (lambda n: ns.noon_state(n, "a", "b"), "photon number", 1),
+    "noon_fringe": (lambda n: ns.noon_fringe(n, 0.85, [0.0, 1.0], 600.0, 1.0, 1), "photon number", 1),
+    "sql_verdict": (lambda n: ns.sql_verdict(0.9, 0.1, n), "photon number", 2),
+}
+
+
+class TestPhotonNumberRule:
+    @pytest.mark.parametrize(
+        "n", [math.inf, math.nan, 10**400, 2**63, 1.5, -1], ids=["inf", "nan", "10**400", "2**63", "1.5", "-1"]
+    )
+    @pytest.mark.parametrize("site", sorted(PHOTON_NUMBER_SITES))
+    def test_number_outside_the_rule_rejected_with_its_message(self, site, n):
+        call, what, least = PHOTON_NUMBER_SITES[site]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{re.escape(what)} must be a whole number in \[{least}, 2\^63\)$"):
+                call(n)
+
+    def test_largest_count_and_whole_floats_accepted(self):
+        top = 2**63 - 1
+        assert FockState.from_counts({"a": top, "b": 2.0}).occupations == (("a", top), ("b", 2))
+        assert ns.enumerate_basis(top, ("a",)) == [FockState.from_counts({"a": top})]
+        assert ns.noon_state(2.0, "a", "b") == ns.noon_state(2, "a", "b")
+        assert ns.sql_verdict(0.9, 0.1, 2.0) == ns.sql_verdict(0.9, 0.1, 2)
+        assert np.array_equal(
+            ns.noon_fringe(2.0, 0.85, [0.0, 1.0], 600.0, 1.0, 1).counts,
+            ns.noon_fringe(2, 0.85, [0.0, 1.0], 600.0, 1.0, 1).counts,
+        )
+        state = ns.basis_state(("a", "b"), {"a": top})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phased = ns.apply_phase(state, "a", 0.3).amplitude(FockState.from_counts({"a": top}))
+            clicks = ns.detect(state, ns.DetectorPattern((("a", True, 0.5), ("b", False, 0.5))))
+        assert cmath.isfinite(phased) and abs(phased) == pytest.approx(1.0)
+        assert clicks == 1.0
 
 
 class TestInnerProduct:

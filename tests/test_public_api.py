@@ -6,7 +6,9 @@ error (``SpectralError``, ``FitError``, ``FockError``) subclasses, and warns not
 the functions computed and are not drawn.  The functions that check their scalar arguments are also called with an
 integer beyond float range in each of them, one at a time, with the same requirement.  Every function that converts
 a caller's numbers also gets such an integer in one cell of each array or sequence argument, or in place of a number:
-it must raise the ``ValueError`` that nan in the same place raises.
+it must raise the ``ValueError`` that nan in the same place raises.  The functions that weight or multiply a whole
+density are also given a density that is zero everywhere, which must raise, and one of 1e308 everywhere, which must give
+their result on a density of ones.
 """
 
 import dataclasses
@@ -246,6 +248,43 @@ def test_integer_beyond_float_range_in_a_cell_raises_what_nan_raises(name):
                     call(*args)
             messages.append(str(info.value))
         assert messages[0] == messages[1], (name, i)
+
+
+#: name -> call taking a spectrum, for every function that weights or multiplies a whole density.
+WHOLE_DENSITY_CASES = {
+    "overlap_kernel": lambda spectrum: ns.overlap_kernel(spectrum, DELAYS),
+    "hom_profile": lambda spectrum: ns.hom_profile(spectrum, DELAYS, 0.9),
+    "hom_scan": lambda spectrum: ns.hom_scan(spectrum, 0.9, DELAYS, 600.0, 1.0, 1),
+    "bunching_scan": lambda spectrum: ns.bunching_scan(1.0, DELAYS, 2400.0, 1.0, 1, spectrum=spectrum),
+    "filtered_spectrum-emission": lambda spectrum: ns.filtered_spectrum(spectrum, ns.Spectrum(GRID, np.ones(512))),
+    "filtered_spectrum-acceptance": lambda spectrum: ns.filtered_spectrum(ns.Spectrum(GRID, np.ones(512)), spectrum),
+}
+
+
+def same(a, b):
+    """Whether two results hold the same values, through dataclass fields."""
+    if dataclasses.is_dataclass(a):
+        return all(same(getattr(a, field.name), getattr(b, field.name)) for field in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_DENSITY_CASES))
+def test_density_with_no_positive_value_rejected(name):
+    # One drawn cell leaves the rest of the density positive; a density that is zero everywhere gave 0/0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^density has no positive peak$"):
+            WHOLE_DENSITY_CASES[name](ns.Spectrum(GRID, np.zeros(512)))
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_DENSITY_CASES))
+def test_density_of_huge_floats_counts_as_its_unit_peak_shape(name):
+    # A sum or square of 1e308 overflows, so each function scales the density to a unit peak first.
+    call = WHOLE_DENSITY_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = call(ns.Spectrum(GRID, np.full(512, 1e308)))
+    assert finite(huge) and same(huge, call(ns.Spectrum(GRID, np.ones(512))))
 
 
 @pytest.mark.parametrize(
