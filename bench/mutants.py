@@ -154,6 +154,18 @@ MUTANTS = (
         "lam, dens = spectrum.wavelength_nm, _unit_peak(spectrum.density)\n    half",
         "lam, dens = spectrum.wavelength_nm, spectrum.density\n    half",
     ),
+    Mutant(
+        "noon-cross-check-phase-first-power",
+        "src/noonsim/experiments.py",
+        'factor ** term.count("arm-b")',
+        "factor ** 1",
+    ),
+    Mutant(
+        "repeated-mode-labels-accepted",
+        "src/noonsim/fock.py",
+        "    modes = _distinct(modes)\n",
+        "    modes = tuple(modes)\n",
+    ),
 )
 
 

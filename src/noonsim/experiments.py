@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fock
-from .elements import CircuitElement, Circuit, apply_circuit
+from .elements import beamsplitter
 from .spectral import Spectrum, _floats, _read_csv, _write_csv, hom_profile, overlap_kernel
 
 
@@ -321,26 +321,24 @@ def noon_fringe(
 def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np.ndarray:
     """Exact fringe from the full Fock pipeline, for checking the closed form.
 
-    Builds the N-photon path-entangled state, accrues the phase on one arm,
-    recombines on a 50:50 splitter, and projects on the pattern with N-1
-    photons in one port and 1 in the other.  The result is
-    (N / 2^(N-1)) * (1 + cos(N phi + pi)) / 2 per the closed form.
+    The N-photon path-entangled state takes the phase on one arm and meets a
+    50:50 splitter; its fringe on the pattern with N-1 photons in one port and
+    1 in the other is the superposition of its two components, each mixed
+    once, with |0,N> weighted by exp(i phi)^N: (N / 2^(N-1)) (1 + cos(N phi + pi)) / 2.
     """
     phases = _floats(phases_rad)
     if phases.ndim != 1:
         raise ValueError("phases must be a 1-D array")
-    state0 = fock.noon_state(n_photons, "arm-a", "arm-b")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases must be finite")
+    noon = fock.noon_state(n_photons, "arm-a", "arm-b")
     pattern = fock.FockState.from_counts({"arm-a": n_photons - 1, "arm-b": 1})
-    probs = np.empty(len(phases), dtype=float)
-    for i, phi in enumerate(phases):
-        circuit = Circuit(
-            (
-                CircuitElement.phase(phi, "arm-b"),
-                CircuitElement.splitter(math.pi / 4.0, "arm-a", "arm-b"),
-            )
-        )
-        probs[i] = apply_circuit(state0, circuit).probability(pattern)
-    return probs
+    splitter, factor = beamsplitter(math.pi / 4.0), np.exp(1j * phases)
+    amplitude = np.zeros(len(phases), dtype=complex)
+    for term, amp in noon.amplitudes.items():
+        mixed = fock.apply_two_mode_mixer(fock.StateVector(noon.modes, {term: amp}), splitter, "arm-a", "arm-b")
+        amplitude += mixed.amplitude(pattern) * factor ** term.count("arm-b")
+    return np.abs(amplitude) ** 2
 
 
 def plate_phase(

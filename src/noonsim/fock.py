@@ -37,10 +37,18 @@ class FockError(ValueError):
     """A state or basis over its size limit, or modes a state does not declare."""
 
 
-def _photon_number(n, least: int, what: str = "photon number") -> int:
+def _photon_number(n, least: int, mode: ModeId | None = None) -> int:
     if least <= n < 2**63 and n == int(n):
         return int(n)
+    what = "photon number" if mode is None else f"photon count for mode {mode!r}"
     raise ValueError(f"{what} must be a whole number in [{least}, 2^63)")
+
+
+def _distinct(modes: Iterable[ModeId]) -> tuple[ModeId, ...]:
+    modes = tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate mode labels in {modes!r}")
+    return modes
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class FockState:
     def from_counts(cls, counts: Mapping[ModeId, int]) -> "FockState":
         cleaned = []
         for mode, n in counts.items():
-            if n := _photon_number(n, 0, f"photon count for mode {mode!r}"):
+            if n := _photon_number(n, 0, mode):
                 cleaned.append((mode, n))
         return cls(tuple(sorted(cleaned)))
 
@@ -83,9 +91,7 @@ class StateVector:
     amplitudes: dict[FockState, complex]
 
     def __post_init__(self):
-        self.modes = tuple(self.modes)
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError(f"duplicate mode labels in {self.modes!r}")
+        self.modes = _distinct(self.modes)
         mode_set = set(self.modes)
         cleaned: dict[FockState, complex] = {}
         for fock, amp in self.amplitudes.items():
@@ -121,7 +127,7 @@ def enumerate_basis(n_photons: int, modes: Iterable[ModeId]) -> list[FockState]:
     The result is ordered lexicographically on the occupation tuple taken in
     the given mode order, and has C(n + m - 1, n) entries.
     """
-    modes = tuple(modes)
+    modes = _distinct(modes)
     n_photons = _photon_number(n_photons, 0)
     if not modes:
         raise ValueError("mode list must be nonempty")
@@ -201,13 +207,14 @@ def apply_two_mode_mixer(
         if n_a + n_b > _MAX_MIXER_PHOTONS:
             raise FockError(f"{n_a + n_b} photons in the mixed modes exceed the limit of {_MAX_MIXER_PHOTONS}")
         prefactor = amp / math.sqrt(math.factorial(n_a) * math.factorial(n_b))
+        spectators = dict(fock.occupations)
         for j in range(n_a + 1):
             wa = math.comb(n_a, j) * u[0, 0] ** j * u[1, 0] ** (n_a - j)
             for k in range(n_b + 1):
                 wb = math.comb(n_b, k) * u[0, 1] ** k * u[1, 1] ** (n_b - k)
                 p = j + k
                 q = n_a + n_b - p
-                target = FockState.from_counts({**dict(fock.occupations), mode_a: p, mode_b: q})
+                target = FockState.from_counts({**spectators, mode_a: p, mode_b: q})
                 weight = prefactor * wa * wb * math.sqrt(math.factorial(p) * math.factorial(q))
                 out[target] = out.get(target, 0j) + weight
     return StateVector(state.modes, out)

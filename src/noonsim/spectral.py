@@ -495,15 +495,9 @@ def _load_rows(lines: list[str], dtype: list[tuple[str, type]]) -> np.ndarray | 
 
 
 def _peak_normalized(grid_nm: np.ndarray, density: np.ndarray) -> Spectrum:
-    """``density`` scaled to a unit peak, ``clipped`` if the grid misses its FWHM.
-
-    A density that is zero everywhere (a sinc^2 that underflowed) is rejected.
-    """
+    """``density`` scaled to a unit peak (an underflowed sinc^2 has none), ``clipped`` if the grid misses its FWHM."""
     spectrum = Spectrum(grid_nm, density)
-    peak = spectrum.density.max()
-    if peak == 0.0:
-        raise ValueError("cannot normalize an all-zero density")
-    spectrum.density = spectrum.density / peak
+    spectrum.density = _unit_peak(spectrum.density)
     spectrum.clipped = bool(spectrum.density[0] > 0.5 or spectrum.density[-1] > 0.5)
     return spectrum
 

@@ -718,13 +718,13 @@ class TestInvalidInput:
                 "[source_crystal]\npoling_um = 1e-300",
                 ["spectra"],
                 "[source_crystal] length_mm = 20, poling_um = 1e-300: "
-                "cannot normalize an all-zero density",
+                "density has no positive peak",
             ),
             (
                 "[converter_crystal]\npoling_um = 1e-300",
                 ["spectra"],
                 "[converter_crystal] length_mm = 20, poling_um = 1e-300: "
-                "cannot normalize an all-zero density",
+                "density has no positive peak",
             ),
             # Building a scan fails: the prefix names the scan's section and keys.
             (

@@ -9,7 +9,7 @@ import noonsim as ns
 from noonsim import experiments
 from noonsim.elements import Circuit, CircuitElement
 from noonsim.experiments import EfficiencyChain, FRINGE_PHASE_OFFSET
-from noonsim.fock import FockState
+from noonsim.fock import FockError, FockState
 from noonsim.spectral import SINC2_HALF_MAX_ARG
 
 
@@ -233,7 +233,37 @@ class TestBunchingScan:
             assert scan.expected[0] / (1.0 / 8.0) == pytest.approx(1 + gamma, abs=1e-9)
 
 
+def per_phase_fringe(n, phases):
+    """The cross-check as a circuit per phase: the phase on arm b, then a 50:50 splitter, projected on (N-1, 1)."""
+    noon = ns.noon_state(n, "arm-a", "arm-b")
+    pattern = FockState.from_counts({"arm-a": n - 1, "arm-b": 1})
+    return np.array(
+        [
+            ns.apply_circuit(
+                noon,
+                Circuit((CircuitElement.phase(phi, "arm-b"), CircuitElement.splitter(math.pi / 4, "arm-a", "arm-b"))),
+            ).probability(pattern)
+            for phi in phases
+        ]
+    )
+
+
 class TestNoonFringe:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 20])
+    def test_matches_a_circuit_per_phase(self, n):
+        phases = np.concatenate([np.linspace(0.0, 2 * np.pi, 37), [1e300, -1e300]])
+        # 8 ulp of 1.0: the two forms round the same products in a different order.
+        assert np.max(np.abs(ns.noon_fringe_probabilities(n, phases) - per_phase_fringe(n, phases))) <= 1.8e-15
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="^phases must be finite$"):
+            ns.noon_fringe_probabilities(2, [0.0, phase])
+
+    def test_more_photons_than_the_mixer_takes_rejected(self):
+        with pytest.raises(FockError, match="^171 photons in the mixed modes exceed the limit of 170$"):
+            ns.noon_fringe_probabilities(171, [0.0, 1.0])
+
     def test_closed_form_matches_fock_pipeline(self):
         phases = np.linspace(0.0, 2 * np.pi, 37)
         for n in (1, 2, 3, 4):

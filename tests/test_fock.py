@@ -84,6 +84,12 @@ class TestEnumerateBasis:
         with pytest.raises(ValueError):
             ns.enumerate_basis(2, [])
 
+    @pytest.mark.parametrize("modes", [("a", "a"), ["a", "b", "a"]])
+    def test_repeated_mode_label_rejected(self, modes):
+        # A repeated label would merge in a pattern's counts and drop photons from the basis.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'duplicate mode labels in {tuple(modes)!r}')}$"):
+            ns.enumerate_basis(2, modes)
+
     @pytest.mark.parametrize("n_photons", [2.5, math.inf, math.nan])
     def test_photon_number_that_is_not_a_whole_number_rejected(self, n_photons):
         with pytest.raises(ValueError, match=r"^photon number must be a whole number in \[0, 2\^63\)$"):
