@@ -166,6 +166,8 @@ MUTANTS = (
         "    modes = _distinct(modes)\n",
         "    modes = tuple(modes)\n",
     ),
+    Mutant("run-freeze-deleted", "src/noonsim/cli.py", "    finally:\n        gc.freeze()\n", "    finally:\n        pass\n"),
+    Mutant("main-guard-skips-run", "src/noonsim/cli.py", "sys.exit(run())", "sys.exit(main())"),
 )
 
 

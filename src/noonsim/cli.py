@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import math
 import sys
 import typing
@@ -501,5 +502,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry (``noonsim``, ``python -m noonsim.cli``): ``main``, then ``gc.freeze()`` however it ends.
+
+    Interpreter shutdown then skips collecting every object still alive; atexit handlers still run."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,4 +1,5 @@
 import configparser
+import gc
 import itertools
 import re
 import subprocess
@@ -23,6 +24,7 @@ from noonsim.cli import (
     load_config,
     main,
     read_summary,
+    run,
 )
 
 
@@ -649,6 +651,25 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err == "noonsim: error: bad value for --seed: expected a nonnegative integer, got '-1'\n"
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (["--seed", "abc", "budget"], "argument --seed: invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+            (["nope"], "argument command: invalid choice: 'nope'"),
+        ],
+        ids=["bad-seed", "no-command", "unknown-command"],
+    )
+    def test_usage_error_exits_2_and_writes_nothing(self, tmp_path, capsys, args, message):
+        # argparse rejects the command line itself: a usage block, then one error line, and exit 2.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", str(out), *args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: noonsim") and err[-1].startswith(f"noonsim: error: {message}"), err
+        assert not out.exists()
+
     def test_point_caps_are_inclusive(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -916,10 +937,65 @@ class TestDeterminism:
         assert result.returncode == 0, result.stderr
 
     def test_console_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "noonsim.cli", "--out", str(tmp_path / "o"), "budget"],
-            capture_output=True,
-            text=True,
+        # A `python -m noonsim.cli` process writes the bytes `main` writes in process, and `main` freezes nothing.
+        frozen = gc.get_freeze_count()
+        for command in _COMMANDS:
+            assert run_cli("--out", str(tmp_path / "main"), "--seed", "7", command) == 0
+            result = subprocess.run(
+                [sys.executable, "-m", "noonsim.cli", "--out", str(tmp_path / "process"), "--seed", "7", command],
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+        assert gc.get_freeze_count() == frozen
+        written = {side: {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()} for side in ("main", "process")}
+        assert written["process"] == written["main"] and len(written["main"]) == 13
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize(
+        ("config", "args", "code"),
+        [("", ["budget"], 0), ("[source_crystal]\nlength_mm = nan\n", ["spectra"], 1), ("", ["--seed", "abc"], 2)],
+        ids=["budget", "nan-length", "usage"],
+    )
+    def test_run_freezes_the_heap_once_main_has_ended(self, tmp_path, monkeypatch, config, args, code):
+        events = []
+
+        def recorded_main():
+            try:
+                return main()
+            finally:
+                events.append("main ended")
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        monkeypatch.setattr("noonsim.cli.main", recorded_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["noonsim", "--config", str(cfg), "--out", str(tmp_path / "o"), *args])
+        try:
+            result = run()
+        except SystemExit as exc:  # argparse's usage exit
+            result = exc.code
+        assert result == code
+        assert events == ["main ended", "freeze"]
+
+    def test_main_guard_freezes_the_heap(self, tmp_path):
+        # The guard, run as `python -m noonsim.cli` runs it, ends through `run`: atexit handlers see a frozen heap.
+        script = textwrap.dedent(
+            f"""
+            import atexit, gc, runpy, sys
+            atexit.register(lambda: print("freeze count", gc.get_freeze_count()))
+            sys.argv = ["noonsim", "--out", {str(tmp_path / "o")!r}, "budget"]
+            runpy.run_module("noonsim.cli", run_name="__main__")
+            """
         )
-        assert result.returncode == 0
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        label, count = result.stdout.strip().rsplit(" ", 1)
+        assert label == "freeze count" and int(count) > 0
         assert (tmp_path / "o" / "budget.txt").exists()
+
+    def test_console_script_is_run(self):
+        # A text match: Python 3.10 has no tomllib.
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert '\nnoonsim = "noonsim.cli:run"\n' in pyproject
