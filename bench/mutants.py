@@ -130,8 +130,15 @@ MUTANTS = (
     Mutant(
         "mixer-limit-inclusive",
         "src/noonsim/fock.py",
-        "if n_a + n_b > _MAX_MIXER_PHOTONS:",
-        "if n_a + n_b >= _MAX_MIXER_PHOTONS:",
+        "if (n := n_a + n_b) > _MAX_MIXER_PHOTONS:",
+        "if (n := n_a + n_b) >= _MAX_MIXER_PHOTONS:",
+    ),
+    Mutant(
+        "mixer-rounding-check-deleted",
+        "src/noonsim/fock.py",
+        "        if error > _MIXER_ERROR:\n"
+        '            raise FockError(f"mixing |{n_a},{n_b}> may round an amplitude by {error:.1e}, over {_MIXER_ERROR:g}")\n',
+        "",
     ),
     Mutant("hom-scan-factor", "src/noonsim/experiments.py", "2.0 * hom_profile(", "1.0 * hom_profile("),
     Mutant(

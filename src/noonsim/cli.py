@@ -139,7 +139,7 @@ _SCHEMA = _schema()
 #: Largest accepted point count per key, checked before anything is built.
 #: The overlap kernel's largest array is (delays + 1) x 2 sqrt(2 * points)
 #: float64, about 12 MB at the grid and delay caps (28 MB in all).  Only a
-#: delay scan reaching metres sends the kernel to its direct sum,
+#: delay scan reaching hundreds of metres sends the kernel to its direct sum,
 #: whose (delays + 1) x points/2 matrix the caps bound at about 0.5 GiB.
 _MAX_POINTS = {
     "grid_points": 65536,
@@ -150,7 +150,7 @@ _MAX_POINTS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A config file problem the user can act on."""
 
 
@@ -497,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8")
         return 0
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"noonsim: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

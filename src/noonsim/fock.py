@@ -26,6 +26,9 @@ _MAX_BASIS_STATES = 200_000
 #: Cap on the photons in the two modes a mixer acts on: its weights use (n_a + n_b)!, and 171! overflows a float.
 _MAX_MIXER_PHOTONS = 170
 
+#: Largest rounding error the mixer may leave on an output amplitude, per unit of input amplitude.
+_MIXER_ERROR = 1e-12
+
 #: Amplitudes with modulus at or below this are treated as exact zeros.
 AMPLITUDE_ATOL = 1e-12
 
@@ -189,9 +192,9 @@ def apply_two_mode_mixer(
 ) -> StateVector:
     """Apply a two-mode unitary by creation-operator substitution.
 
-    The matrix acts as a+ -> U00 a+ + U10 b+ and b+ -> U01 a+ + U11 b+,
-    expanded multinomially with the bosonic sqrt(n!) weights.  Photon number
-    and norm are conserved.
+    The matrix acts as a+ -> U00 a+ + U10 b+ and b+ -> U01 a+ + U11 b+, so |p, n-p> takes term p of the
+    convolution of the two binomial expansions, with the bosonic sqrt(n!) weights.  Photon number is
+    conserved; a term whose cancelling sums may round an amplitude by over 1e-12 of its own raises ``FockError``.
     """
     u = _check_unitary(matrix)
     for m in (mode_a, mode_b):
@@ -202,21 +205,21 @@ def apply_two_mode_mixer(
 
     out: dict[FockState, complex] = {}
     for fock, amp in state.amplitudes.items():
-        n_a = fock.count(mode_a)
-        n_b = fock.count(mode_b)
-        if n_a + n_b > _MAX_MIXER_PHOTONS:
-            raise FockError(f"{n_a + n_b} photons in the mixed modes exceed the limit of {_MAX_MIXER_PHOTONS}")
-        prefactor = amp / math.sqrt(math.factorial(n_a) * math.factorial(n_b))
-        spectators = dict(fock.occupations)
-        for j in range(n_a + 1):
-            wa = math.comb(n_a, j) * u[0, 0] ** j * u[1, 0] ** (n_a - j)
-            for k in range(n_b + 1):
-                wb = math.comb(n_b, k) * u[0, 1] ** k * u[1, 1] ** (n_b - k)
-                p = j + k
-                q = n_a + n_b - p
-                target = FockState.from_counts({**spectators, mode_a: p, mode_b: q})
-                weight = prefactor * wa * wb * math.sqrt(math.factorial(p) * math.factorial(q))
-                out[target] = out.get(target, 0j) + weight
+        n_a, n_b = fock.count(mode_a), fock.count(mode_b)
+        if (n := n_a + n_b) > _MAX_MIXER_PHOTONS:
+            raise FockError(f"{n} photons in the mixed modes exceed the limit of {_MAX_MIXER_PHOTONS}")
+        a = np.array([math.comb(n_a, j) * u[0, 0] ** j * u[1, 0] ** (n_a - j) for j in range(n_a + 1)])
+        b = np.array([math.comb(n_b, k) * u[0, 1] ** k * u[1, 1] ** (n_b - k) for k in range(n_b + 1)])
+        norm = math.sqrt(math.factorial(n_a) * math.factorial(n_b))
+        weights = [math.sqrt(math.factorial(p) * math.factorial(n - p)) for p in range(n + 1)]
+        # Rounding moves a sum over j + k = p by at most ulp(1) times the sum of its terms' moduli.
+        error = math.ulp(1.0) * np.max(np.convolve(np.abs(a), np.abs(b)) * weights) / norm
+        if error > _MIXER_ERROR:
+            raise FockError(f"mixing |{n_a},{n_b}> may round an amplitude by {error:.1e}, over {_MIXER_ERROR:g}")
+        spectators, prefactor = dict(fock.occupations), amp / norm
+        for p, c in enumerate(np.convolve(a, b)):
+            target = FockState.from_counts({**spectators, mode_a: p, mode_b: n - p})
+            out[target] = out.get(target, 0j) + prefactor * c * weights[p]
     return StateVector(state.modes, out)
 
 

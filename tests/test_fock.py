@@ -21,6 +21,21 @@ def random_unitary(rng):
     return q * (d / np.abs(d))
 
 
+def exact_reflection(n_a, n_b):
+    """Amplitudes of |n_a, n_b> after the real 50:50 reflection, keyed by the photons p left in mode a.
+
+    Expanding (a+ + b+)^n_a (a+ - b+)^n_b / 2^(n/2) gives an exact integer sum for each p.
+    """
+    n = n_a + n_b
+    amplitudes = {}
+    for p in range(n + 1):
+        splits = range(max(0, p - n_b), min(n_a, p) + 1)
+        total = sum(math.comb(n_a, j) * math.comb(n_b, p - j) * (-1) ** (n_b - p + j) for j in splits)
+        ratio = math.factorial(p) * math.factorial(n - p) / (math.factorial(n_a) * math.factorial(n_b))
+        amplitudes[p] = 2 ** (-n / 2) * math.sqrt(ratio) * total
+    return amplitudes
+
+
 def random_state(rng, modes=("a", "b", "c"), n_photons=3):
     basis = ns.enumerate_basis(n_photons, modes)
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
@@ -247,6 +262,32 @@ class TestTwoModeMixer:
         out = ns.apply_two_mode_mixer(psi, ns.beamsplitter(np.pi / 4), "a", "b")
         for fock in out.amplitudes:
             assert fock.count("c") == 2
+
+    def test_one_output_state_per_photon_split(self, monkeypatch):
+        psi = ns.basis_state(("a", "b"), {"a": 5, "b": 5})
+        built = []
+        from_counts = FockState.from_counts
+        monkeypatch.setattr(FockState, "from_counts", lambda counts: built.append(counts) or from_counts(counts))
+        ns.apply_two_mode_mixer(psi, ns.beamsplitter(np.pi / 4), "a", "b")
+        assert len(built) == 11
+
+    def test_balanced_splitter_matches_exact_integer_sum(self):
+        for n_a, n_b in [*itertools.product(range(15), repeat=2), (170, 0), (169, 1), (100, 3)]:
+            psi = ns.basis_state(("a", "b"), {"a": n_a, "b": n_b})
+            out = ns.apply_two_mode_mixer(psi, ns.beamsplitter(np.pi / 4), "a", "b")
+            for p, amplitude in exact_reflection(n_a, n_b).items():
+                got = out.amplitude(FockState.from_counts({"a": p, "b": n_a + n_b - p}))
+                assert abs(got - amplitude) <= 1e-12, (n_a, n_b, p)
+
+    @pytest.mark.parametrize(
+        "matrix", [ns.beamsplitter(np.pi / 4), ns.frequency_converter(np.pi / 4)], ids=["splitter", "converter"]
+    )
+    def test_term_that_rounds_past_the_tolerance_rejected(self, matrix):
+        # |60,60> is inside the 170-photon limit, but its alternating sums cancel to a norm of 12.6 in float64.
+        with pytest.raises(FockError, match=r"^mixing \|60,60> may round an amplitude by .* over 1e-12$"):
+            ns.apply_two_mode_mixer(ns.basis_state(("a", "b"), {"a": 60, "b": 60}), matrix, "a", "b")
+        with pytest.raises(FockError, match=r"^mixing \|15,15> "):
+            ns.apply_two_mode_mixer(ns.basis_state(("a", "b"), {"a": 15, "b": 15}), matrix, "a", "b")
 
     def test_rejects_non_unitary(self):
         psi = ns.basis_state(("a", "b"), {"a": 1})

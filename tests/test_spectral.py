@@ -462,6 +462,20 @@ class TestHomProfile:
             if scan is delays:
                 assert got[0] == 1.0 and got[81] == 1.0  # both zero delays
 
+    @pytest.mark.parametrize("points", [4096, 16384])
+    def test_read_back_kernel_matches_direct_sum(self, spdc_crystal, points):
+        # %.12g rounds the wavelengths by up to 5e-9 nm, so the read-back grid is uniform
+        # only to about 5e3 rad/s; at 6 mm the fast sum's dropped terms are still below 1e-13.
+        grid = np.linspace(SIGNAL_NM - 8.0, SIGNAL_NM + 8.0, points)
+        spec = ns.Spectrum.from_csv(ns.emission_spectrum(spdc_crystal, PUMP_SPDC_NM, grid).to_csv())
+        delays = np.linspace(-6.0, 6.0, 121)
+        lam = spec.wavelength_nm
+        lam0 = 0.5 * (lam[0] + lam[-1])
+        omega = 2 * np.pi * C_NM_PER_S * (lam0 - lam) / lam0**2
+        sym = 0.5 * (spec.density + spec.density[::-1])
+        want = np.cos(np.outer(delays / C_MM_PER_S, omega)) @ sym / sym.sum()
+        assert np.max(np.abs(ns.overlap_kernel(spec, delays) - want)) < 1e-12
+
     @pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_delay_whose_phase_is_not_finite_rejected(self, emission, delay):
         with pytest.raises(ValueError, match="must be finite"):
