@@ -175,6 +175,18 @@ MUTANTS = (
     ),
     Mutant("run-freeze-deleted", "src/noonsim/cli.py", "    finally:\n        gc.freeze()\n", "    finally:\n        pass\n"),
     Mutant("main-guard-skips-run", "src/noonsim/cli.py", "sys.exit(run())", "sys.exit(main())"),
+    Mutant(
+        "amplitude-prune-restored",
+        "src/noonsim/fock.py",
+        "            if amp:\n",
+        "            if abs(amp) > 1e-12:\n",
+    ),
+    Mutant(
+        "norm-summed-from-squares",
+        "src/noonsim/fock.py",
+        "return math.hypot(*map(abs, self.amplitudes.values()))",
+        "return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))",
+    ),
 )
 
 

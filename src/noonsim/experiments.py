@@ -325,6 +325,7 @@ def noon_fringe_probabilities(n_photons: int, phases_rad: Sequence[float]) -> np
     50:50 splitter; its fringe on the pattern with N-1 photons in one port and
     1 in the other is the superposition of its two components, each mixed
     once, with |0,N> weighted by exp(i phi)^N: (N / 2^(N-1)) (1 + cos(N phi + pi)) / 2.
+    It holds for every N up to the mixer's 170-photon limit, where the fringe peaks at 2.3e-49.
     """
     phases = _floats(phases_rad)
     if phases.ndim != 1:

@@ -29,9 +29,6 @@ _MAX_MIXER_PHOTONS = 170
 #: Largest rounding error the mixer may leave on an output amplitude, per unit of input amplitude.
 _MIXER_ERROR = 1e-12
 
-#: Amplitudes with modulus at or below this are treated as exact zeros.
-AMPLITUDE_ATOL = 1e-12
-
 #: Allowed deviation of U†U from the identity.
 UNITARY_ATOL = 1e-12
 
@@ -104,7 +101,9 @@ class StateVector:
             amp = _floats(amp, complex).item()
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {fock} must be finite, got {amp!r}")
-            if abs(amp) > AMPLITUDE_ATOL:
+            if not math.isfinite(amp.real * amp.real + amp.imag * amp.imag):
+                raise ValueError(f"amplitude of {fock} squares past the float range, got {amp!r}")
+            if amp:
                 cleaned[fock] = amp
         self.amplitudes = cleaned
 
@@ -115,13 +114,16 @@ class StateVector:
         return abs(self.amplitude(fock)) ** 2
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.hypot(*map(abs, self.amplitudes.values()))
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
+        # Scaled to a largest modulus of 1 first: the norm of subnormal amplitudes has too few digits to divide by.
+        scale = max(map(abs, self.amplitudes.values()), default=0.0)
+        if scale == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.modes, {f: a / n for f, a in self.amplitudes.items()})
+        unit = StateVector(self.modes, {f: a / scale for f, a in self.amplitudes.items()})
+        n = unit.norm()
+        return StateVector(self.modes, {f: a / n for f, a in unit.amplitudes.items()})
 
 
 def enumerate_basis(n_photons: int, modes: Iterable[ModeId]) -> list[FockState]:

@@ -272,7 +272,7 @@ class TestNoonFringe:
             closed = (1 + np.cos(n * phases + FRINGE_PHASE_OFFSET)) / 2
             assert np.max(np.abs(pipeline / scale - closed)) < 1e-10
 
-    @pytest.mark.parametrize("n", [8, 12, 20])
+    @pytest.mark.parametrize("n", [8, 12, 20, 85, 86, 120, 170])
     def test_closed_form_matches_fock_pipeline_above_six_photons(self, n):
         phases = np.linspace(0.0, 2 * np.pi, 37)
         pipeline = ns.noon_fringe_probabilities(n, phases)

@@ -36,6 +36,11 @@ def exact_reflection(n_a, n_b):
     return amplitudes
 
 
+def two_terms(amp):
+    """One photon in mode a or in mode b, each with amplitude ``amp``."""
+    return ns.StateVector(("a", "b"), {FockState.from_counts({"a": 1}): amp, FockState.from_counts({"b": 1}): amp})
+
+
 def random_state(rng, modes=("a", "b", "c"), n_photons=3):
     basis = ns.enumerate_basis(n_photons, modes)
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
@@ -237,7 +242,7 @@ class TestTwoModeMixer:
         assert abs(ns.inner_product(psi, out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_hom_null_is_exact(self):
-        # (a+ + b+)(a+ - b+)/2 has no a+b+ term, so |1,1| never survives.
+        # (a+ + b+)(a+ - b+)/2 has no a+b+ term: |1,1| keeps only the matrix's own rounding, c^2 - s^2 (about 1.8e-16).
         psi = ns.basis_state(("a", "b"), {"a": 1, "b": 1})
         out = ns.apply_two_mode_mixer(psi, ns.beamsplitter(np.pi / 4), "a", "b")
         assert abs(out.amplitude(FockState.from_counts({"a": 1, "b": 1}))) <= 1e-12
@@ -364,13 +369,41 @@ class TestStateVectorValidation:
                 ValueError,
                 "mixer modes must be distinct",
             ),
+            (
+                lambda: ns.StateVector(("a",), {FockState.from_counts({"a": 1}): complex(1.5e308, 1.5e308)}),
+                ValueError,
+                "amplitude of FockState(occupations=(('a', 1),)) squares past the float range, "
+                "got (1.5e+308+1.5e+308j)",
+            ),
+            (
+                lambda: ns.StateVector(("a",), {FockState.from_counts({"a": 1}): 1e200}),
+                ValueError,
+                "amplitude of FockState(occupations=(('a', 1),)) squares past the float range, got (1e+200+0j)",
+            ),
         ],
-        ids=["normalize-zero", "mixer-over-limit", "mixer-3x3", "mixer-same-mode"],
+        ids=[
+            "normalize-zero",
+            "mixer-over-limit",
+            "mixer-3x3",
+            "mixer-same-mode",
+            "amplitude-modulus-overflows",
+            "amplitude-square-overflows",
+        ],
     )
     def test_invalid_argument_is_named(self, call, error, message):
         with pytest.raises(error) as info:
             call()
         assert info.type is error and str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("amp", [1e-300, 1e-160, 1e150])
+    def test_norm_holds_at_any_scale(self, amp):
+        # A square below about 1e-308 is subnormal or zero, so a norm summed from squares loses digits or reads 0.
+        assert abs(two_terms(amp).norm() / (math.sqrt(2.0) * amp) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("amp", [1e-300, 1e-160, 5e-324, 1e150])
+    def test_normalized_has_unit_norm_at_any_scale(self, amp):
+        # The norm of two 5e-324 amplitudes is itself a one-digit subnormal, so it is taken after scaling.
+        assert abs(two_terms(amp).normalized().norm() - 1.0) <= 1e-15
 
     def test_huge_entry_is_not_unitary(self):
         # U†U of a 1e300 entry used to overflow with a warning before the unitarity check.

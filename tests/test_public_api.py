@@ -68,11 +68,19 @@ def sql_verdict(visibility, sigma):
     return verdict
 
 
+def state_vector_read(amp):
+    """A one-photon state of amplitude ``amp``, read by every call that squares its amplitudes, then normalized."""
+    one = ns.FockState.from_counts({"a": 1})
+    state = ns.StateVector(("a",), {one: amp})
+    detected = ns.detect(state, ns.DetectorPattern.of({"a": True}))
+    return state.norm(), state.probability(one), detected, state.normalized()
+
+
 #: name -> (call taking the drawn floats, a valid value of each).
 CASES = {
     "apply_phase": (lambda phi: ns.apply_phase(STATE, "a", phi), (0.3,)),
     "apply_two_mode_mixer": (lambda c: ns.apply_two_mode_mixer(STATE, [[c, -0.6], [0.6, 0.8]], "a", "b"), (0.8,)),
-    "StateVector": (lambda amp: ns.StateVector(("a",), {ns.FockState.from_counts({"a": 1}): amp}), (1.0,)),
+    "StateVector": (state_vector_read, (1.0,)),
     "CircuitElement": (lambda phi: ns.CircuitElement("phase", ("a",), phi), (0.3,)),
     "beamsplitter": (ns.beamsplitter, (math.pi / 4,)),
     "frequency_converter": (ns.frequency_converter, (0.3,)),
