@@ -187,6 +187,19 @@ MUTANTS = (
         "return math.hypot(*map(abs, self.amplitudes.values()))",
         "return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))",
     ),
+    Mutant(
+        "fit-residual-floor-deleted",
+        "src/noonsim/experiments.py",
+        "            if chi2 <= 2.0**8 * float(weights @ np.spacing(mu) ** 2):\n                chi2 = 0.0\n",
+        "",
+    ),
+    Mutant(
+        "prefit-singular-outside-try",
+        "src/noonsim/experiments.py",
+        "    try:\n        # A scan that samples one fringe position",
+        "    np.linalg.inv(design @ design.T)\n    try:\n        # A scan that samples one fringe position",
+    ),
+    Mutant("squared-norm-reset-per-amplitude", "src/noonsim/fock.py", "square += ", "square = "),
 )
 
 

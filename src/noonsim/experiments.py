@@ -469,7 +469,12 @@ def _score_fringe(phi: np.ndarray, data: np.ndarray, p: np.ndarray) -> tuple[np.
             # on the rates they were computed from.
             p = p + step
             mu = _fringe_point(phi, data, p)[2]
-            return p, cov, float(np.sum(weights * (data - mu) ** 2))
+            chi2 = float(np.sum(weights * (data - mu) ** 2))
+            # Within 2^8 ulp(mu) a point's residual is the model's own
+            # rounding, so chi^2 that small reads as an exact fit.
+            if chi2 <= 2.0**8 * float(weights @ np.spacing(mu) ** 2):
+                chi2 = 0.0
+            return p, cov, chi2
         p = p + step
         theta, cos, mu, q = trial
     raise FitError(f"fringe fit did not converge in {_FIT_MAX_STEPS} steps")
@@ -483,14 +488,17 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     that keeps dark-fringe bins from pulling the fit onto mu = 0.  Sampled
     and noiseless scans are fitted alike, so a noiseless scan, whose data
     are the expected counts, gets the covariance a measurement at its rate
-    would have.  Fisher scoring starts from a linear pre-fit at
-    f = n_expected; each step is halved until it raises the log
-    quasi-likelihood (``_quasi_loglik``), and the fit stops once a step is
-    within 1e-10 of the parameters or below what that objective resolves.
-    The covariance is the inverse Fisher matrix at the optimum;
+    would have.  Fisher scoring starts from the least-squares step of the
+    linear model C0 + a cos(N phi) + b sin(N phi) at f = N = n_expected,
+    solved by its normal equations; each step is halved until it raises
+    the log quasi-likelihood (``_quasi_loglik``), and the fit stops once a
+    step is within 1e-10 of the parameters or below what that objective
+    resolves.  The covariance is the inverse Fisher matrix at the optimum;
     ``residual_norm`` is sqrt(chi^2), the Pearson chi^2 at the model
-    weights.  Data with no fringe or less than one count in all, or a fit
-    that does not converge, raises ``FitError``.
+    weights, read as 0 when chi^2 is within the model's rounding,
+    2^8 sum w ulp(mu)^2.  Data with no fringe or less than one count in
+    all, a singular normal or Fisher matrix (as in a scan that samples one
+    fringe position), or a fit that does not converge, raises ``FitError``.
     """
     if not 1 <= _floats(n_expected) < math.inf:
         raise ValueError("expected fringe order must be at least 1 and finite")
@@ -506,20 +514,18 @@ def fit_visibility(scan: ScanResult, n_expected: int) -> FitReport:
     if total < 1.0:
         raise FitError(f"scan holds {total:.3g} counts in all; a fit needs at least one")
 
-    # Linear pre-fit at the expected frequency for amplitude and phase seeds.
-    design = np.column_stack(
-        [np.ones_like(phi), np.cos(n_expected * phi), np.sin(n_expected * phi)]
-    )
-    c0_seed, ca, cb = np.linalg.lstsq(design, data, rcond=None)[0]
-    c0_seed = max(c0_seed, 1e-12)
-    v_seed = min(math.hypot(ca, cb) / c0_seed, 1.0)
-    phi0_seed = math.atan2(-cb, ca)
-    p0 = np.array([c0_seed, max(v_seed, 1e-3), float(n_expected), phi0_seed])
-
+    # Seeds from the linear model C0 + a cos(N phi) + b sin(N phi) at f = N:
+    # its least-squares step at unit weights, by the normal equations.
+    design = np.array([np.ones_like(phi), np.cos(n_expected * phi), np.sin(n_expected * phi)])
     try:
-        # Data with (almost) no counts overflows or makes the Fisher matrix
-        # singular; that is reported as a failed fit, not as a warning.
+        # A scan that samples one fringe position makes the normal matrix
+        # singular, and data with (almost) no counts overflows or makes the
+        # Fisher matrix singular; each is reported as a failed fit, not as a warning.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            c0_seed, ca, cb = np.linalg.inv(design @ design.T) @ (design @ data)
+            c0_seed = max(c0_seed, 1e-12)
+            v_seed = min(math.hypot(ca, cb) / c0_seed, 1.0)
+            p0 = np.array([c0_seed, max(v_seed, 1e-3), float(n_expected), math.atan2(-cb, ca)])
             popt, pcov, chi2 = _score_fringe(phi, data, p0)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fringe fit failed: {exc}") from exc

@@ -29,6 +29,10 @@ _MAX_MIXER_PHOTONS = 170
 #: Largest rounding error the mixer may leave on an output amplitude, per unit of input amplitude.
 _MIXER_ERROR = 1e-12
 
+#: Bound on a state's squared norm, half the float range: every partial sum of squared moduli, or of the
+#: products of two states' amplitudes, then stays finite in any order.
+_MAX_SQUARED_NORM = 2.0**1023
+
 #: Allowed deviation of U†U from the identity.
 UNITARY_ATOL = 1e-12
 
@@ -94,6 +98,7 @@ class StateVector:
         self.modes = _distinct(self.modes)
         mode_set = set(self.modes)
         cleaned: dict[FockState, complex] = {}
+        square = 0.0
         for fock, amp in self.amplitudes.items():
             unknown = set(fock.modes()) - mode_set
             if unknown:
@@ -101,8 +106,10 @@ class StateVector:
             amp = _floats(amp, complex).item()
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude of {fock} must be finite, got {amp!r}")
-            if not math.isfinite(amp.real * amp.real + amp.imag * amp.imag):
-                raise ValueError(f"amplitude of {fock} squares past the float range, got {amp!r}")
+            # re*re + im*im overflows to inf, where abs(amp) of a huge amplitude raises OverflowError.
+            square += amp.real * amp.real + amp.imag * amp.imag
+            if not square < _MAX_SQUARED_NORM:
+                raise ValueError(f"squared norm reaches 2^1023, half the float range, at {fock}, got {amp!r}")
             if amp:
                 cleaned[fock] = amp
         self.amplitudes = cleaned

@@ -514,6 +514,49 @@ class TestFitVisibility:
         v2 = ns.fit_visibility(scaled, 2).visibility
         assert v1 == pytest.approx(v2, abs=1e-9)
 
+    def test_scan_that_samples_one_fringe_position_is_no_fit(self):
+        # Every phase sits a whole period from the last, so cos(N phi) reads the same at each point: the
+        # normal matrix of the seeding linear model is singular.  A free fit once returned V = 1 at f = 4.1e6.
+        scan = ns.noon_fringe(1, 0.9, np.linspace(0.0, 16 * math.pi, 9), 600.0, 1.0, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ns.FitError, match="^fringe fit failed: "):
+                ns.fit_visibility(scan, 1)
+
+    @pytest.mark.parametrize("axis", ["phase", "plate"])
+    @pytest.mark.parametrize(("n", "vis"), [(1, 0.9751), (2, 0.8493)])
+    def test_noiseless_fit_a_rounding_away_reads_no_residual(self, axis, n, vis):
+        # Another libm may round each expected count an ulp apart; what remains is the model's rounding, not a misfit.
+        phases = np.linspace(0.0, 2 * np.pi, 96)
+        if axis == "plate":
+            phases = ns.plate_phase(np.linspace(0.02, 0.25, 96), 0.2e-3, 1.5, 525.1345e-9)
+        scan = ns.noon_fringe(n, vis, phases, 600.0, 1.0, 7, noiseless=True)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            wobbled = np.nextafter(scan.expected, rng.choice([-np.inf, np.inf], size=96))
+            report = ns.fit_visibility(ns.ScanResult(phases, wobbled, scan.counts, noiseless=True), n)
+            assert report.residual_norm == 0.0
+            assert report.visibility == pytest.approx(vis, abs=1e-9)
+
+    @pytest.mark.parametrize(("n", "seed"), [(1, 3), (2, 5)])
+    def test_sampled_residual_norm_is_the_pearson_chi2(self, n, seed):
+        phases = np.linspace(0.0, 2 * np.pi, 96)
+        scan = ns.noon_fringe(n, 0.9, phases, 600.0, 1.0, seed)
+        report = ns.fit_visibility(scan, n)
+        mu = report.amplitude * (1.0 + report.visibility * np.cos(report.frequency * phases + report.phase_offset))
+        chi2 = np.sum((scan.counts - mu) ** 2 / np.maximum(mu, 1.0))
+        # The fit weighs its chi^2 by the rates before its last step: over 400 seeds that moved it by at most 3.3e-7.
+        assert report.residual_norm == pytest.approx(math.sqrt(chi2), rel=1e-5)
+        assert report.residual_norm > 1.0
+
+    def test_fit_needs_no_least_squares_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        scan = ns.noon_fringe(2, 0.8493, np.linspace(0.0, 2 * np.pi, 96), 600.0, 1.0, 7)
+        assert ns.fit_visibility(scan, 2).visibility == pytest.approx(0.8493, abs=0.05)
+
     def test_too_few_points_rejected(self):
         phases = np.linspace(0.0, 2 * np.pi, 5)
         scan = ns.noon_fringe(1, 0.9, phases, 100.0, 1.0, 3, noiseless=True)

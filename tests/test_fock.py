@@ -3,9 +3,12 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noonsim as ns
 from noonsim.fock import FockError, FockState
@@ -34,6 +37,10 @@ def exact_reflection(n_a, n_b):
         ratio = math.factorial(p) * math.factorial(n - p) / (math.factorial(n_a) * math.factorial(n_b))
         amplitudes[p] = 2 ** (-n / 2) * math.sqrt(ratio) * total
     return amplitudes
+
+
+#: The basis states with up to three photons in each of two modes.
+BOUNDED_BASIS = [FockState.from_counts({"a": i, "b": j}) for i in range(4) for j in range(4)]
 
 
 def two_terms(amp):
@@ -372,13 +379,14 @@ class TestStateVectorValidation:
             (
                 lambda: ns.StateVector(("a",), {FockState.from_counts({"a": 1}): complex(1.5e308, 1.5e308)}),
                 ValueError,
-                "amplitude of FockState(occupations=(('a', 1),)) squares past the float range, "
+                "squared norm reaches 2^1023, half the float range, at FockState(occupations=(('a', 1),)), "
                 "got (1.5e+308+1.5e+308j)",
             ),
             (
                 lambda: ns.StateVector(("a",), {FockState.from_counts({"a": 1}): 1e200}),
                 ValueError,
-                "amplitude of FockState(occupations=(('a', 1),)) squares past the float range, got (1e+200+0j)",
+                "squared norm reaches 2^1023, half the float range, at FockState(occupations=(('a', 1),)), "
+                "got (1e+200+0j)",
             ),
         ],
         ids=[
@@ -404,6 +412,51 @@ class TestStateVectorValidation:
     def test_normalized_has_unit_norm_at_any_scale(self, amp):
         # The norm of two 5e-324 amplitudes is itself a one-digit subnormal, so it is taken after scaling.
         assert abs(two_terms(amp).normalized().norm() - 1.0) <= 1e-15
+
+    def test_squared_norm_past_half_the_float_range_names_the_amplitude_that_crosses(self):
+        # Each square, 4.9e307, is below 2^1023 = 9.0e307; their sum is not.
+        with pytest.raises(ValueError) as info:
+            two_terms(7e153)
+        assert str(info.value) == (
+            "squared norm reaches 2^1023, half the float range, at FockState(occupations=(('b', 1),)), "
+            "got (7e+153+0j)"
+        )
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.sampled_from(BOUNDED_BASIS),
+            st.complex_numbers(max_magnitude=2.0**512, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_a_state_within_the_bound_never_overflows(self, amplitudes):
+        square = sum(Fraction(a.real) ** 2 + Fraction(a.imag) ** 2 for a in amplitudes.values())
+        try:
+            state = ns.StateVector(("a", "b"), amplitudes)
+        except ValueError as error:
+            assert "squared norm reaches 2^1023" in str(error)
+            assert square >= 2**1023 * (1 - Fraction(1, 2**40))
+            return
+        assert square < 2**1023 * (1 + Fraction(1, 2**40))
+        assert math.isfinite(state.norm())
+        assert cmath.isfinite(ns.inner_product(state, state))
+        if state.amplitudes:
+            unit = state.normalized()
+            assert abs(unit.norm() - 1.0) <= 1e-14
+            assert cmath.isfinite(ns.inner_product(state, unit))
+        for fock in BOUNDED_BASIS:
+            assert math.isfinite(state.probability(fock))
+        for pattern in (ns.DetectorPattern.coincidence("a", "b"), ns.DetectorPattern.of({"a": True, "b": False}, 0.5)):
+            assert math.isfinite(ns.detect(state, pattern))
+        try:
+            mixed = ns.apply_two_mode_mixer(state, ns.beamsplitter(math.pi / 4), "a", "b")
+        except ValueError as error:  # an OverflowError fails the test
+            assert "squared norm reaches 2^1023" in str(error)
+            return
+        assert all(cmath.isfinite(a) for a in mixed.amplitudes.values())
+        assert math.isfinite(mixed.norm())
 
     def test_huge_entry_is_not_unitary(self):
         # U†U of a 1e300 entry used to overflow with a warning before the unitarity check.

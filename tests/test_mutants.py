@@ -1,6 +1,6 @@
 """Every mutant that ``bench/mutants.py`` lists still applies to the source.
 
-The survey takes minutes and stays out of CI; a mutant whose text has moved or changed would only stop it there.
+The survey takes minutes and runs on one CI leg; this check fails on every leg, and at once, when a text moves or changes.
 """
 
 import runpy
